@@ -1,6 +1,7 @@
 #include "spatial/replica_index.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/contracts.hpp"
 
@@ -9,17 +10,16 @@ namespace proxcache {
 namespace {
 
 /// One copy of the nearest-scan logic (minimum distance, ties reservoir-
-/// sampled), instantiated for the devirtualized lattice path and the
-/// generic Topology path.
-template <typename TopologyT>
-NearestResult nearest_on(const TopologyT& topology,
-                         std::span<const NodeId> list, NodeId u,
-                         Hop sentinel, Rng& rng) {
+/// sampled in list order). `for_each(visit)` calls `visit(replica, hops)`
+/// over the file's replica list; it is instantiated for the lattice kernel
+/// and for the reference scans.
+template <typename ForEach>
+NearestResult nearest_in_list_order(ForEach&& for_each, Hop sentinel,
+                                    Rng& rng) {
   NearestResult result;
   Hop best = sentinel;
   ReservoirOne reservoir(rng);
-  for (const NodeId v : list) {
-    const Hop d = topology.distance(u, v);
+  for_each([&](NodeId v, Hop d) {
     if (d < best) {
       best = d;
       reservoir = ReservoirOne(rng);  // restart ties at the new minimum
@@ -27,11 +27,23 @@ NearestResult nearest_on(const TopologyT& topology,
     } else if (d == best) {
       reservoir.offer(v);
     }
-  }
+  });
   result.server = *reservoir.value();
   result.distance = best;
   result.ties = static_cast<std::uint32_t>(reservoir.count());
   return result;
+}
+
+/// Reference scan over `list` with the topology's own distance.
+template <typename TopologyT>
+NearestResult nearest_on(const TopologyT& topology,
+                         std::span<const NodeId> list, NodeId u,
+                         Hop sentinel, Rng& rng) {
+  return nearest_in_list_order(
+      [&](auto&& visit) {
+        for (const NodeId v : list) visit(v, topology.distance(u, v));
+      },
+      sentinel, rng);
 }
 
 }  // namespace
@@ -44,11 +56,29 @@ ReplicaIndex::ReplicaIndex(const Topology& topology,
       placement_(&placement) {
   PROXCACHE_REQUIRE(topology.size() == placement.num_nodes(),
                     "topology and placement disagree on node count");
-  buckets_.resize(placement.num_files());
-  // Bucket grids are a lattice coordinate structure; other topologies
-  // answer radius queries through the replica-list scan.
-  if (bucket_threshold == 0 || lattice_ == nullptr) return;
-  for (FileId j = 0; j < placement.num_files(); ++j) {
+  const std::size_t num_files = placement.num_files();
+  buckets_.resize(num_files);
+  // Bucket grids and packed coordinates are lattice coordinate
+  // structures; other topologies answer every query through the
+  // topology's own distance.
+  if (lattice_ == nullptr) return;
+
+  side_reciprocal_ =
+      ~std::uint64_t{0} / static_cast<std::uint64_t>(lattice_->side()) + 1;
+  coord_offsets_.resize(num_files + 1, 0);
+  for (FileId j = 0; j < num_files; ++j) {
+    coord_offsets_[j + 1] = coord_offsets_[j] + placement.replica_count(j);
+  }
+  // Every slot is written below, so skip the value-initializing fill.
+  coords_ = std::make_unique_for_overwrite<PackedCoord[]>(
+      coord_offsets_[num_files]);
+  PackedCoord* out = coords_.get();
+  for (FileId j = 0; j < num_files; ++j) {
+    for (const NodeId v : placement.replicas(j)) *out++ = coord_of(v);
+  }
+
+  if (bucket_threshold == 0) return;
+  for (FileId j = 0; j < num_files; ++j) {
     const auto list = placement.replicas(j);
     if (list.size() >= bucket_threshold) {
       buckets_[j] = std::make_unique<BucketGrid>(
@@ -88,19 +118,130 @@ NearestResult ReplicaIndex::nearest_by_shells(NodeId u, FileId j,
   return result;  // no replica anywhere
 }
 
+NearestResult ReplicaIndex::nearest_in_shell_order(NodeId u, FileId j,
+                                                   Rng& rng) const {
+  // Rank key of a replica at distance `d` in the enumeration order of
+  // `for_each_at_distance` (topology/shells.hpp). Torus: (ring dx,
+  // x-offset index, y-offset index), the offsets listed as +a before -a.
+  // Grid: (dx + d, upper before lower). Distinct replicas at one distance
+  // get distinct keys.
+  const std::int32_t side = lattice_->side();
+  const PackedCoord origin = coord_of(u);
+  const std::int32_t ux = origin.x;
+  const std::int32_t uy = origin.y;
+  const PackedCoord* coords = coords_.get() + coord_offsets_[j];
+  const bool torus = lattice_->wrap() == Wrap::Torus;
+  const auto key_of = [&](std::size_t i, Hop d) -> std::uint32_t {
+    const std::int32_t dx = coords[i].x - ux;
+    const std::int32_t dy = coords[i].y - uy;
+    if (!torus) {
+      return (static_cast<std::uint32_t>(dx) + d) * 2 + (dy < 0 ? 1 : 0);
+    }
+    const std::int32_t wx = dx < 0 ? dx + side : dx;
+    const std::int32_t wy = dy < 0 ? dy + side : dy;
+    const std::int32_t ax = std::min(wx, side - wx);
+    const std::int32_t ay = std::min(wy, side - wy);
+    return static_cast<std::uint32_t>(ax) * 4 + (wx != ax ? 2 : 0) +
+           (wy != ay ? 1 : 0);
+  };
+
+  // One pass: the minimum distance, how many replicas share it, and the
+  // first and last of them in shell order.
+  Hop best = std::numeric_limits<Hop>::max();
+  std::uint32_t ties = 0;
+  std::uint32_t lo = 0;
+  std::uint32_t hi = 0;
+  NodeId first = kInvalidNode;
+  NodeId last = kInvalidNode;
+  scan_lattice(u, j, [&](std::size_t i, NodeId v, Hop d) {
+    if (d > best) return;
+    const std::uint32_t key = key_of(i, d);
+    if (d < best) {
+      best = d;
+      ties = 0;
+      lo = hi = key;
+      first = last = v;
+    } else if (key < lo) {
+      lo = key;
+      first = v;
+    } else if (key > hi) {
+      hi = key;
+      last = v;
+    }
+    ++ties;
+  });
+
+  // The shell walk offers the ties in its enumeration order; the reservoir
+  // keeps the rank its draws select, whatever the ranked items are.
+  ReservoirOne reservoir(rng);
+  for (std::uint32_t rank = 0; rank < ties; ++rank) reservoir.offer(rank);
+  const std::uint32_t rank = *reservoir.value();
+
+  NearestResult result;
+  result.distance = best;
+  result.ties = ties;
+  if (rank == 0 || rank + 1 == ties) {
+    result.server = rank == 0 ? first : last;
+    return result;
+  }
+  // An interior rank: binary search over the key range, each step counting
+  // the ties at or below the midpoint, then fetch the tie with that key.
+  // Nothing is materialized.
+  while (lo < hi) {
+    const std::uint32_t mid = lo + (hi - lo) / 2;
+    std::uint32_t at_or_below = 0;
+    scan_lattice(u, j, [&](std::size_t i, NodeId, Hop d) {
+      if (d == best && key_of(i, d) <= mid) ++at_or_below;
+    });
+    if (at_or_below > rank) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  scan_lattice(u, j, [&](std::size_t i, NodeId v, Hop d) {
+    if (d == best && key_of(i, d) == lo) result.server = v;
+  });
+  return result;
+}
+
 NearestResult ReplicaIndex::nearest(NodeId u, FileId j, Rng& rng) const {
   const std::size_t replicas = placement_->replica_count(j);
   if (replicas == 0) return NearestResult{};
-  // List scan costs ~|S_j| distance evaluations; the shell scan visits
-  // ~n/|S_j| nodes before the first hit. Crossover at |S_j|² ≈ n — but
-  // only where shells enumerate directly; on scan-based topologies every
-  // shell is itself O(n), so the list scan always wins there.
-  const std::size_t n = topology_->size();
-  if (replicas * replicas <= n ||
+  // The draw contract of the historical dispatch: list scan while
+  // |S_j|² <= n (or where shells are not directly enumerable — there every
+  // shell is itself O(n)), shell walk above. The lattice kernel reproduces
+  // both without walking shells.
+  if (lattice_ != nullptr) {
+    if (replicas * replicas > lattice_->size()) {
+      return nearest_in_shell_order(u, j, rng);
+    }
+    return nearest_in_list_order(
+        [&](auto&& visit) {
+          scan_lattice(u, j,
+                       [&](std::size_t, NodeId v, Hop d) { visit(v, d); });
+        },
+        std::numeric_limits<Hop>::max(), rng);
+  }
+  if (replicas * replicas <= topology_->size() ||
       !topology_->directly_enumerates_shells()) {
     return nearest_by_scan(u, j, rng);
   }
   return nearest_by_shells(u, j, rng);
+}
+
+void ReplicaIndex::replica_distances(NodeId u, FileId j,
+                                     std::span<Hop> out) const {
+  PROXCACHE_REQUIRE(out.size() == placement_->replica_count(j),
+                    "replica_distances needs one slot per replica");
+  if (lattice_ != nullptr) {
+    scan_lattice(u, j, [&](std::size_t i, NodeId, Hop d) { out[i] = d; });
+    return;
+  }
+  const auto list = placement_->replicas(j);
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    out[i] = topology_->distance(u, list[i]);
+  }
 }
 
 std::size_t ReplicaIndex::count_replicas_within(NodeId u, FileId j,

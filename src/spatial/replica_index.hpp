@@ -1,27 +1,37 @@
 #pragma once
 /// \file replica_index.hpp
 /// Spatial queries over a placement: nearest replica of a file (with exact
-/// uniform tie breaking) and radius-filtered replica streams. This is the
-/// query layer all allocation strategies are built on, and it works over
-/// any `Topology` (topology/topology.hpp).
+/// uniform tie breaking), per-replica distances and radius-filtered replica
+/// streams. This is the query layer all allocation strategies are built on,
+/// and it works over any `Topology` (topology/topology.hpp).
 ///
-/// Two complementary algorithms answer nearest-replica queries:
+/// **Lattice kernel.** On a `Lattice` the index keeps one flat array of
+/// packed `uint16` (x, y) replica coordinates, aligned with
+/// `Placement::replicas(j)` and filled at construction with a reciprocal
+/// multiply per replica. Every lattice replica-list scan — `nearest`,
+/// `replica_distances` and the radius stream behind least-loaded and
+/// two-choice(r) — runs one inlined torus/grid L1 kernel over it: no
+/// per-replica division or virtual call, and no allocation or shared
+/// scratch per query, so sharded `propose` lanes call it concurrently.
 ///
-///  * **replica-list scan** — O(|S_j|): walk the file's replica list,
-///    tracking the minimum distance (reservoir-sampled among ties);
-///  * **expanding-shell scan** — O(|B_d*|·log M): walk shells of increasing
-///    distance around the requester until the first shell containing a
-///    replica (then finish that shell for ties).
-///
-/// The first wins when replicas are sparse, the second when they are dense;
-/// `nearest()` picks automatically (`|S_j|² ≶ n` crossover). Both are exact
-/// and tests cross-validate them. Radius streams use the replica list or a
-/// per-file bucket grid (built for files with large `|S_j|` — lattice
-/// topologies only; the grid is a coordinate structure).
+/// **Seed contract.** On a lattice, `nearest()` draws exactly what the
+/// historical dispatch drew: `nearest_by_scan` when `|S_j|² <= n`, else
+/// `nearest_by_shells`. That crossover stays part of the contract even
+/// though the kernel never walks a shell. Below it the kernel replays the
+/// scan's reservoir offers in list order; above it the kernel takes the
+/// minimum distance and offers the tied replicas in the shell walk's
+/// canonical order (torus: ring dx, then x-offset, then y-offset; grid:
+/// dx + D, then upper before lower), so the same draws pick the same
+/// server with the same tie count and leave the Rng in the same state.
+/// The two reference algorithms stay public as test oracles and serve
+/// non-lattice topologies. Radius streams use the replica list or, for
+/// files with large `|S_j|` on lattices, a per-file bucket grid.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "catalog/placement.hpp"
@@ -55,8 +65,11 @@ class ReplicaIndex {
   [[nodiscard]] const Topology& topology() const { return *topology_; }
   [[nodiscard]] const Placement& placement() const { return *placement_; }
 
-  /// Nearest replica of `j` to `u`, uniform among ties; automatic algorithm
-  /// selection. Returns an invalid server if the file has no replica.
+  /// Nearest replica of `j` to `u`, uniform among ties. Same server, tie
+  /// count and Rng draws as `nearest_by_scan` when `|S_j|² <= n` or the
+  /// topology cannot enumerate shells directly, and as `nearest_by_shells`
+  /// otherwise (see the file comment). Returns an invalid server if the
+  /// file has no replica.
   NearestResult nearest(NodeId u, FileId j, Rng& rng) const;
 
   /// Nearest replica via the replica-list scan (always exact).
@@ -64,6 +77,10 @@ class ReplicaIndex {
 
   /// Nearest replica via the expanding-shell scan (always exact).
   NearestResult nearest_by_shells(NodeId u, FileId j, Rng& rng) const;
+
+  /// `out[i] = topology().distance(u, replicas(j)[i])` for every replica;
+  /// `out.size()` must equal `replica_count(j)`.
+  void replica_distances(NodeId u, FileId j, std::span<Hop> out) const;
 
   /// Invoke `fn(NodeId replica, Hop distance)` for every replica of `j`
   /// within distance `r` of `u` (including `u` itself if it caches `j`).
@@ -108,33 +125,86 @@ class ReplicaIndex {
   }
 
  private:
-  /// One copy of the replica-list scan, instantiated for the concrete
-  /// lattice type (devirtualized distance — Lattice is final) and for the
-  /// generic Topology. `r = kUnboundedRadius` admits every replica.
-  template <typename TopologyT, typename Fn>
-  static void scan_replicas_on(const TopologyT& topology,
-                               std::span<const NodeId> list, NodeId u, Hop r,
-                               Fn&& fn) {
-    for (const NodeId v : list) {
-      const Hop d = topology.distance(u, v);
-      if (r == kUnboundedRadius || d <= r) fn(v, d);
+  /// One replica's lattice coordinate; side <= 65535 keeps both in range.
+  struct PackedCoord {
+    std::uint16_t x;
+    std::uint16_t y;
+  };
+
+  /// Lattice coordinate of node `v` with no division instruction:
+  /// floor(v / side) is the high word of v · ceil(2^64 / side), exact for
+  /// every 32-bit v (Lemire, Kaser & Kurz, "Faster Remainder by Direct
+  /// Computation", 2019). At side 1 the reciprocal wraps to 0, which still
+  /// maps the only node to (0, 0).
+  [[nodiscard]] PackedCoord coord_of(NodeId v) const {
+    const auto y = static_cast<std::uint32_t>(
+        (static_cast<unsigned __int128>(side_reciprocal_) * v) >> 64);
+    const auto side = static_cast<std::uint32_t>(lattice_->side());
+    return {static_cast<std::uint16_t>(v - y * side),
+            static_cast<std::uint16_t>(y)};
+  }
+
+  /// The lattice kernel: invoke `fn(i, replica, distance)` for every
+  /// replica of `j` in list order, with distances from the packed
+  /// coordinates. Lattice topologies only.
+  template <typename Fn>
+  void scan_lattice(NodeId u, FileId j, Fn&& fn) const {
+    const auto list = placement_->replicas(j);
+    const PackedCoord* coords = coords_.get() + coord_offsets_[j];
+    const std::int32_t side = lattice_->side();
+    const PackedCoord origin = coord_of(u);
+    const std::int32_t ux = origin.x;
+    const std::int32_t uy = origin.y;
+    const auto axis = [side](std::int32_t a, std::int32_t b, auto torus) {
+      const std::int32_t direct = a > b ? a - b : b - a;
+      if constexpr (decltype(torus)::value) {
+        return std::min(direct, side - direct);
+      } else {
+        return direct;
+      }
+    };
+    const auto run = [&](auto torus) {
+      for (std::size_t i = 0; i < list.size(); ++i) {
+        fn(i, list[i],
+           static_cast<Hop>(axis(coords[i].x, ux, torus) +
+                            axis(coords[i].y, uy, torus)));
+      }
+    };
+    if (lattice_->wrap() == Wrap::Torus) {
+      run(std::true_type{});
+    } else {
+      run(std::false_type{});
     }
   }
 
-  /// Dispatch the scan to the devirtualized lattice path when possible.
+  /// The replica-list scan behind radius streams; `r = kUnboundedRadius`
+  /// admits every replica.
   template <typename Fn>
   void scan_replicas(NodeId u, FileId j, Hop r, Fn&& fn) const {
-    const auto list = placement_->replicas(j);
+    const auto admit = [&](NodeId v, Hop d) {
+      if (r == kUnboundedRadius || d <= r) fn(v, d);
+    };
     if (lattice_ != nullptr) {
-      scan_replicas_on(*lattice_, list, u, r, std::forward<Fn>(fn));
-    } else {
-      scan_replicas_on(*topology_, list, u, r, std::forward<Fn>(fn));
+      scan_lattice(u, j, [&](std::size_t, NodeId v, Hop d) { admit(v, d); });
+      return;
+    }
+    for (const NodeId v : placement_->replicas(j)) {
+      admit(v, topology_->distance(u, v));
     }
   }
+
+  /// `nearest()` on a lattice, above the crossover: the shell walk's
+  /// result and draws without walking shells.
+  NearestResult nearest_in_shell_order(NodeId u, FileId j, Rng& rng) const;
 
   const Topology* topology_;
   const Lattice* lattice_;  ///< `topology_->as_lattice()`, cached
   const Placement* placement_;
+  /// Lattice only: packed replica coordinates, file `j` at
+  /// `coords_[coord_offsets_[j] ..)` in `replicas(j)` order.
+  std::unique_ptr<PackedCoord[]> coords_;
+  std::vector<std::size_t> coord_offsets_;
+  std::uint64_t side_reciprocal_ = 0;  ///< ceil(2^64 / side), see coord_of
   std::vector<std::unique_ptr<BucketGrid>> buckets_;
 };
 

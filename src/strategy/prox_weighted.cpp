@@ -1,18 +1,37 @@
 #include "strategy/prox_weighted.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <sstream>
 
 #include "util/contracts.hpp"
 
 namespace proxcache {
 
+ProximityWeights::ProximityWeights(Hop diameter, double alpha)
+    : alpha_(alpha) {
+  constexpr Hop kMaxEntries = 4096;
+  table_.resize(std::min(diameter, kMaxEntries - 1) + 1);
+  for (Hop d = 0; d < table_.size(); ++d) {
+    table_[d] = std::pow(1.0 + static_cast<double>(d), -alpha);
+  }
+}
+
 ProxWeightedStrategy::ProxWeightedStrategy(const ReplicaIndex& index,
                                            ProxWeightedOptions options)
-    : index_(&index), options_(options) {
+    : index_(&index),
+      options_(options),
+      weights_(index.topology().diameter(), options.alpha) {
   PROXCACHE_REQUIRE(options.num_choices >= 1 && options.num_choices <= 8,
                     "num_choices must be in [1, 8]");
   PROXCACHE_REQUIRE(options.alpha >= 0.0, "alpha must be >= 0");
+  const Placement& placement = index.placement();
+  std::size_t longest = 0;
+  for (FileId j = 0; j < placement.num_files(); ++j) {
+    longest = std::max(longest, placement.replica_count(j));
+  }
+  distances_.resize(longest);
 }
 
 std::string ProxWeightedStrategy::name() const {
@@ -25,7 +44,6 @@ std::string ProxWeightedStrategy::name() const {
 void ProxWeightedStrategy::propose(const Request& request, Rng& rng,
                                    CandidateArena& arena, Proposal& out) {
   (void)rng;  // weight computation is deterministic; draws happen in choose
-  const Topology& topology = index_->topology();
   const auto replicas = index_->placement().replicas(request.file);
   const std::size_t count = replicas.size();
   PROXCACHE_CHECK(count > 0,
@@ -36,13 +54,13 @@ void ProxWeightedStrategy::propose(const Request& request, Rng& rng,
   // replica (dist 0) at finite weight. The left-to-right summation order
   // matches the historical pass, so `total_weight` is the bit-identical
   // double.
+  const std::span<Hop> distances(distances_.data(), count);
+  index_->replica_distances(request.origin, request.file, distances);
   out.first = static_cast<std::uint32_t>(arena.size());
   double total = 0.0;
   for (std::size_t i = 0; i < count; ++i) {
-    const Hop d = topology.distance(request.origin, replicas[i]);
-    const double w =
-        std::pow(1.0 + static_cast<double>(d), -options_.alpha);
-    arena.push_back({replicas[i], d, w});
+    const double w = weights_(distances[i]);
+    arena.push_back({replicas[i], distances[i], w});
     total += w;
   }
   out.count = static_cast<std::uint32_t>(count);

@@ -16,10 +16,32 @@
 /// cached file has at least one replica after sanitization, this strategy
 /// never needs a fallback path.
 
+#include <cmath>
+#include <vector>
+
 #include "core/strategy.hpp"
 #include "spatial/replica_index.hpp"
 
 namespace proxcache {
+
+/// The sampling weight `(1 + d)^-alpha` per hop count, tabulated once per
+/// strategy for `d` up to the topology diameter (at most 4096 entries).
+/// The table holds the very doubles `std::pow` returns; hop counts beyond
+/// it (a sparse oracle's landmark bound may exceed the diameter) call
+/// `std::pow` directly, so every weight is bit-identical to the formula.
+class ProximityWeights {
+ public:
+  ProximityWeights(Hop diameter, double alpha);
+
+  [[nodiscard]] double operator()(Hop d) const {
+    if (d < table_.size()) return table_[d];
+    return std::pow(1.0 + static_cast<double>(d), -alpha_);
+  }
+
+ private:
+  double alpha_;
+  std::vector<double> table_;
+};
 
 /// Options for the distance-weighted sampler (registry key "prox-weighted").
 struct ProxWeightedOptions {
@@ -28,10 +50,13 @@ struct ProxWeightedOptions {
 };
 
 /// Sample d replicas with probability ∝ (1+dist)^-alpha, serve the
-/// least-loaded. Split-phase: `propose` computes the per-replica distances
-/// and weights (the O(|S_j|) part, RNG-free); `choose` runs the whole
-/// d-pick loop, whose candidate draws and tie-break draws interleave per
-/// pick and therefore must stay together on one stream.
+/// least-loaded. Split-phase: `propose` reads every replica's distance
+/// through `ReplicaIndex::replica_distances` (the lattice kernel on
+/// lattices) and looks its weight up in the per-alpha table — O(|S_j|),
+/// RNG-free, no `std::pow` per replica. `choose` runs the whole d-pick
+/// loop, O(d·|S_j|): each pick's weighted draw walks the window, and the
+/// candidate draws and tie-break draws interleave per pick, so they must
+/// stay together on one stream.
 class ProxWeightedStrategy final : public SplitPhaseStrategy {
  public:
   ProxWeightedStrategy(const ReplicaIndex& index, ProxWeightedOptions options);
@@ -53,6 +78,10 @@ class ProxWeightedStrategy final : public SplitPhaseStrategy {
  private:
   const ReplicaIndex* index_;
   ProxWeightedOptions options_;
+  ProximityWeights weights_;
+  /// `propose` scratch, sized once for the longest replica list so that
+  /// `propose` never allocates. Each sharded lane owns its own instance.
+  std::vector<Hop> distances_;
 };
 
 }  // namespace proxcache

@@ -236,9 +236,11 @@ void CrossProxWeightedStrategy::propose(const Request& request, Rng& rng,
     pick.candidate.hops = topology.distance(request.origin,
                                             pick.candidate.node);
     pick.candidate.tier = t;
-    pick.candidate.weight = std::pow(
-        1.0 + static_cast<double>(pick.candidate.hops), -options_.alpha);
-    pick.key = std::pow(rng.uniform(), 1.0 / pick.candidate.weight);
+    pick.candidate.weight = weights_(pick.candidate.hops);
+    // Efraimidis–Spirakis keeps the largest u^(1/w). Its logarithm
+    // log(u)/w orders the same, and stays distinct where u^(1/w)
+    // underflows to 0 (tiny weights: large alpha or far candidates).
+    pick.key = std::log(rng.uniform()) / pick.candidate.weight;
     if (pool < 64) picks[pool++] = pick;
   }
 

@@ -18,8 +18,9 @@
 ///    load-oblivious.
 ///  * `cross-prox-weighted` — one uniform replica draw per cache tier,
 ///    then keep `d` of them with probability ~ (1+dist)^-alpha
-///    (Efraimidis–Spirakis, as in strategy/prox_weighted.hpp) and serve
-///    the least-loaded survivor: proximity bias with cross-tier balance.
+///    (Efraimidis–Spirakis weighted sampling without replacement, with
+///    the weights of strategy/prox_weighted.hpp) and serve the
+///    least-loaded survivor: proximity bias with cross-tier balance.
 
 #include <cstdint>
 #include <span>
@@ -27,6 +28,7 @@
 
 #include "core/strategy.hpp"
 #include "spatial/replica_index.hpp"
+#include "strategy/prox_weighted.hpp"
 #include "tier/tiered_topology.hpp"
 #include "util/types.hpp"
 
@@ -125,7 +127,9 @@ class CrossProxWeightedStrategy final : public SplitPhaseStrategy {
   CrossProxWeightedStrategy(const TieredTopology& topology,
                             const Placement& placement,
                             CrossProxWeightedOptions options)
-      : scopes_(topology, placement), options_(options) {}
+      : scopes_(topology, placement),
+        options_(options),
+        weights_(topology.diameter(), options.alpha) {}
 
   void propose(const Request& request, Rng& rng, CandidateArena& arena,
                Proposal& out) override;
@@ -141,6 +145,7 @@ class CrossProxWeightedStrategy final : public SplitPhaseStrategy {
  private:
   TierScopes scopes_;
   CrossProxWeightedOptions options_;
+  ProximityWeights weights_;
 };
 
 }  // namespace proxcache

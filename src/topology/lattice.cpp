@@ -42,6 +42,10 @@ std::string to_string(Wrap wrap) {
 
 Lattice::Lattice(std::int32_t side, Wrap wrap) : side_(side), wrap_(wrap) {
   PROXCACHE_REQUIRE(side >= 1, "lattice side must be >= 1");
+  PROXCACHE_REQUIRE(side <= kMaxSide,
+                    "lattice side " + std::to_string(side) +
+                        " exceeds " + std::to_string(kMaxSide) +
+                        " (side² would overflow the 32-bit node id)");
 }
 
 bool Lattice::is_perfect_square(std::size_t n) {

@@ -43,7 +43,11 @@ std::string to_string(Wrap wrap);
 /// A square lattice topology with L1 hop distance.
 class Lattice final : public Topology {
  public:
-  /// Construct a `side × side` lattice; `side >= 1`.
+  /// Largest supported side: one past it, `side²` no longer fits the
+  /// 32-bit `NodeId`, and every coordinate stays within a `uint16`.
+  static constexpr std::int32_t kMaxSide = 65535;
+
+  /// Construct a `side × side` lattice; `1 <= side <= kMaxSide`.
   Lattice(std::int32_t side, Wrap wrap);
 
   /// Construct from a node count that must be a perfect square.

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 
 namespace proxcache {
 namespace {
@@ -26,6 +28,21 @@ TEST(LatticeBasics, FromNodeCount) {
   EXPECT_EQ(lattice.size(), 2025u);
   EXPECT_THROW(Lattice::from_node_count(2024, Wrap::Torus),
                std::invalid_argument);
+}
+
+TEST(LatticeBasics, SideLimitKeepsNodeIdsInRange) {
+  // 65535² still fits the 32-bit NodeId; 65536² does not.
+  for (const Wrap wrap : {Wrap::Torus, Wrap::Grid}) {
+    EXPECT_EQ(Lattice(Lattice::kMaxSide, wrap).size(),
+              std::size_t{65535} * 65535);
+    try {
+      const Lattice too_big(65536, wrap);
+      ADD_FAILURE() << "side 65536 must be rejected";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("65536"), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(LatticeBasics, WrapParsing) {

@@ -1,14 +1,24 @@
-// Tests for spatial/replica_index: the two nearest-replica algorithms must
-// agree with each other and with brute force (distance and tie count), and
-// radius streams must match the distance predicate with and without bucket
-// grids.
+// Tests for spatial/replica_index: the two reference nearest-replica
+// algorithms must agree with each other and with brute force (distance and
+// tie count); the lattice kernel's `nearest` must replay the frozen
+// reference dispatch draw for draw; per-replica distances must match the
+// topology on every topology family; and radius streams must match the
+// distance predicate with and without bucket grids.
 #include "spatial/replica_index.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <string>
 #include <vector>
+
+#include "tier/spec.hpp"
+#include "tier/tier_set.hpp"
+#include "tier/tiered_topology.hpp"
+#include "topology/registry.hpp"
+#include "topology/spec.hpp"
 
 namespace proxcache {
 namespace {
@@ -55,6 +65,12 @@ BruteNearest brute_nearest(const Fixture& f, NodeId u, FileId j) {
   return result;
 }
 
+std::string describe_case(const Lattice& lattice, std::size_t cache,
+                          NodeId u, FileId j) {
+  return lattice.describe() + " M=" + std::to_string(cache) +
+         " u=" + std::to_string(u) + " j=" + std::to_string(j);
+}
+
 class ReplicaIndexParamTest
     : public ::testing::TestWithParam<std::tuple<Wrap, int>> {};
 
@@ -93,6 +109,130 @@ INSTANTIATE_TEST_SUITE_P(
       return to_string(std::get<0>(info.param)) + "_M" +
              std::to_string(std::get<1>(info.param));
     });
+
+/// The nearest-replica dispatch as it was before the lattice kernel,
+/// frozen: list scan while |S_j|² <= n, expanding-shell walk above
+/// (lattices enumerate shells directly).
+NearestResult reference_nearest(const ReplicaIndex& index, NodeId u,
+                                FileId j, Rng& rng) {
+  const std::size_t replicas = index.placement().replica_count(j);
+  if (replicas == 0) return NearestResult{};
+  return replicas * replicas <= index.topology().size()
+             ? index.nearest_by_scan(u, j, rng)
+             : index.nearest_by_shells(u, j, rng);
+}
+
+class KernelDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<Wrap, int>> {};
+
+TEST_P(KernelDifferentialTest, NearestReplaysTheReferenceDispatch) {
+  const auto [wrap, side] = GetParam();
+  const Lattice lattice(side, wrap);
+  const std::size_t n = lattice.size();
+  constexpr std::size_t kFiles = 12;
+  std::size_t scan_files = 0;
+  std::size_t shell_files = 0;
+  std::size_t interior_ranks = 0;  // shell-order queries with >= 3 ties
+  // Cache sizes 1..8 under Zipf popularity put |S_j| on both sides of
+  // the |S_j|² = n crossover.
+  for (const std::size_t cache : {std::size_t{1}, std::size_t{3},
+                                  std::size_t{8}}) {
+    Rng placement_rng(0xD1FF + cache);
+    const Placement placement = Placement::generate(
+        n, Popularity::zipf(kFiles, 1.2), cache,
+        PlacementMode::ProportionalWithReplacement, placement_rng);
+    const ReplicaIndex index(lattice, placement);
+    for (FileId j = 0; j < kFiles; ++j) {
+      const std::size_t replicas = placement.replica_count(j);
+      if (replicas == 0) continue;
+      ++(replicas * replicas <= n ? scan_files : shell_files);
+    }
+    Rng kernel_rng(cache);
+    Rng reference_rng(cache);
+    for (NodeId u = 0; u < n; ++u) {
+      for (FileId j = 0; j < kFiles; ++j) {
+        const NearestResult kernel = index.nearest(u, j, kernel_rng);
+        const NearestResult reference =
+            reference_nearest(index, u, j, reference_rng);
+        const std::string where = describe_case(lattice, cache, u, j);
+        ASSERT_EQ(kernel.server, reference.server) << where;
+        ASSERT_EQ(kernel.distance, reference.distance) << where;
+        ASSERT_EQ(kernel.ties, reference.ties) << where;
+        ASSERT_EQ(kernel_rng.bits(), reference_rng.bits()) << where;
+        const std::size_t replicas = placement.replica_count(j);
+        if (replicas * replicas > n && kernel.ties >= 3) ++interior_ranks;
+      }
+    }
+  }
+  EXPECT_GT(scan_files, 0u);
+  if (n >= 4) {
+    EXPECT_GT(shell_files, 0u);
+  }
+  if (side >= 7) {
+    EXPECT_GT(interior_ranks, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sides, KernelDifferentialTest,
+    ::testing::Values(std::make_tuple(Wrap::Torus, 1),
+                      std::make_tuple(Wrap::Torus, 2),
+                      std::make_tuple(Wrap::Torus, 3),
+                      std::make_tuple(Wrap::Torus, 4),
+                      std::make_tuple(Wrap::Torus, 5),
+                      std::make_tuple(Wrap::Torus, 44),
+                      std::make_tuple(Wrap::Torus, 45),
+                      std::make_tuple(Wrap::Grid, 1),
+                      std::make_tuple(Wrap::Grid, 2),
+                      std::make_tuple(Wrap::Grid, 7),
+                      std::make_tuple(Wrap::Grid, 45)),
+    [](const auto& info) {
+      return to_string(std::get<0>(info.param)) + "_side" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+void expect_distances_match_topology(const Topology& topology,
+                                     const std::string& label) {
+  constexpr std::size_t kFiles = 6;
+  Rng rng(17);
+  const Placement placement = Placement::generate(
+      topology.size(), Popularity::zipf(kFiles, 1.0), 3,
+      PlacementMode::ProportionalWithReplacement, rng);
+  const ReplicaIndex index(topology, placement);
+  const auto n = static_cast<NodeId>(topology.size());
+  for (NodeId u = 0; u < n; u += 1 + n / 40) {
+    for (FileId j = 0; j < kFiles; ++j) {
+      const auto list = placement.replicas(j);
+      std::vector<Hop> distances(list.size(), kUnboundedRadius);
+      index.replica_distances(u, j, distances);
+      for (std::size_t i = 0; i < list.size(); ++i) {
+        EXPECT_EQ(distances[i], topology.distance(u, list[i]))
+            << label << " u=" << u << " j=" << j << " replica " << list[i];
+      }
+    }
+  }
+  std::vector<Hop> wrong_size(placement.replica_count(0) + 1);
+  EXPECT_THROW(index.replica_distances(0, 0, wrong_size),
+               std::invalid_argument)
+      << label;
+}
+
+TEST(ReplicaIndex, ReplicaDistancesMatchTopologyDistance) {
+  for (const Wrap wrap : {Wrap::Torus, Wrap::Grid}) {
+    const Lattice lattice(13, wrap);
+    expect_distances_match_topology(lattice, lattice.describe());
+  }
+  for (const char* spec : {"ring(n=60)", "rgg(n=300, radius=0.12, seed=5)"}) {
+    const auto topology =
+        TopologyRegistry::global().make(parse_topology_spec(spec));
+    expect_distances_match_topology(*topology, spec);
+  }
+  const TieredTopology tiered(TierSet::build(
+      parse_tier_spec("tiers(front=torus(side=4)x3, back=ring(n=12), "
+                      "origin=2)"),
+      3));
+  expect_distances_match_topology(tiered, tiered.describe());
+}
 
 TEST(ReplicaIndex, TieBreakingIsUniformAcrossReplicas) {
   // Symmetric layout: two replicas equidistant from the requester.
