@@ -63,17 +63,17 @@ ReplicaIndex::ReplicaIndex(const Topology& topology,
   // topology's own distance.
   if (lattice_ == nullptr) return;
 
-  side_reciprocal_ =
-      ~std::uint64_t{0} / static_cast<std::uint64_t>(lattice_->side()) + 1;
   coord_offsets_.resize(num_files + 1, 0);
   for (FileId j = 0; j < num_files; ++j) {
-    coord_offsets_[j + 1] = coord_offsets_[j] + placement.replica_count(j);
+    coord_offsets_[j + 1] =
+        coord_offsets_[j] + (has_coords(j) ? placement.replica_count(j) : 0);
   }
   // Every slot is written below, so skip the value-initializing fill.
   coords_ = std::make_unique_for_overwrite<PackedCoord[]>(
       coord_offsets_[num_files]);
   PackedCoord* out = coords_.get();
   for (FileId j = 0; j < num_files; ++j) {
+    if (!has_coords(j)) continue;
     for (const NodeId v : placement.replicas(j)) *out++ = coord_of(v);
   }
 
@@ -210,12 +210,12 @@ NearestResult ReplicaIndex::nearest(NodeId u, FileId j, Rng& rng) const {
   if (replicas == 0) return NearestResult{};
   // The draw contract of the historical dispatch: list scan while
   // |S_j|² <= n (or where shells are not directly enumerable — there every
-  // shell is itself O(n)), shell walk above. The lattice kernel reproduces
-  // both without walking shells.
-  if (lattice_ != nullptr) {
-    if (replicas * replicas > lattice_->size()) {
-      return nearest_in_shell_order(u, j, rng);
-    }
+  // shell is itself O(n)), shell walk above. On a lattice the kernel
+  // reproduces both until the shell walk, visiting about n/|S_j| nodes,
+  // is the cheaper way to the same draws.
+  const std::size_t n = topology_->size();
+  if (has_coords(j)) {
+    if (replicas * replicas > n) return nearest_in_shell_order(u, j, rng);
     return nearest_in_list_order(
         [&](auto&& visit) {
           scan_lattice(u, j,
@@ -223,25 +223,11 @@ NearestResult ReplicaIndex::nearest(NodeId u, FileId j, Rng& rng) const {
         },
         std::numeric_limits<Hop>::max(), rng);
   }
-  if (replicas * replicas <= topology_->size() ||
+  if (replicas * replicas <= n ||
       !topology_->directly_enumerates_shells()) {
     return nearest_by_scan(u, j, rng);
   }
   return nearest_by_shells(u, j, rng);
-}
-
-void ReplicaIndex::replica_distances(NodeId u, FileId j,
-                                     std::span<Hop> out) const {
-  PROXCACHE_REQUIRE(out.size() == placement_->replica_count(j),
-                    "replica_distances needs one slot per replica");
-  if (lattice_ != nullptr) {
-    scan_lattice(u, j, [&](std::size_t i, NodeId, Hop d) { out[i] = d; });
-    return;
-  }
-  const auto list = placement_->replicas(j);
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    out[i] = topology_->distance(u, list[i]);
-  }
 }
 
 std::size_t ReplicaIndex::count_replicas_within(NodeId u, FileId j,

@@ -1,31 +1,41 @@
 #pragma once
 /// \file replica_index.hpp
 /// Spatial queries over a placement: nearest replica of a file (with exact
-/// uniform tie breaking), per-replica distances and radius-filtered replica
-/// streams. This is the query layer all allocation strategies are built on,
+/// uniform tie breaking) and replica streams, in list order or filtered by
+/// radius. This is the query layer all allocation strategies are built on,
 /// and it works over any `Topology` (topology/topology.hpp).
 ///
 /// **Lattice kernel.** On a `Lattice` the index keeps one flat array of
 /// packed `uint16` (x, y) replica coordinates, aligned with
-/// `Placement::replicas(j)` and filled at construction with a reciprocal
-/// multiply per replica. Every lattice replica-list scan — `nearest`,
-/// `replica_distances` and the radius stream behind least-loaded and
-/// two-choice(r) — runs one inlined torus/grid L1 kernel over it: no
-/// per-replica division or virtual call, and no allocation or shared
-/// scratch per query, so sharded `propose` lanes call it concurrently.
+/// `Placement::replicas(j)`, for every file whose list the kernel scans:
+/// `|S_j|² <= kShellWalkFactor · n`. Every replica-list scan of such a
+/// file — `nearest`, `for_each_replica` and the radius stream behind
+/// least-loaded and two-choice(r) — runs one inlined torus/grid L1 kernel
+/// over it: no per-replica division or virtual call, and no allocation or
+/// shared scratch per query, so sharded `propose` lanes call it
+/// concurrently. Denser files store no coordinates: their list scans call
+/// `Lattice::distance`, and once `|S_j|` reaches the bucket threshold
+/// their radius streams use a per-file bucket grid.
 ///
-/// **Seed contract.** On a lattice, `nearest()` draws exactly what the
-/// historical dispatch drew: `nearest_by_scan` when `|S_j|² <= n`, else
-/// `nearest_by_shells`. That crossover stays part of the contract even
-/// though the kernel never walks a shell. Below it the kernel replays the
-/// scan's reservoir offers in list order; above it the kernel takes the
-/// minimum distance and offers the tied replicas in the shell walk's
-/// canonical order (torus: ring dx, then x-offset, then y-offset; grid:
-/// dx + D, then upper before lower), so the same draws pick the same
-/// server with the same tie count and leave the Rng in the same state.
+/// **Seed contract.** `nearest()` draws exactly what the historical
+/// dispatch drew: `nearest_by_scan` when `|S_j|² <= n` or the topology
+/// cannot enumerate shells directly, else `nearest_by_shells`. That
+/// crossover stays part of the contract. On a lattice three cost bands
+/// reproduce it:
+///
+///  * `|S_j|² <= n` — the kernel replays the scan's reservoir offers in
+///    list order;
+///  * `n < |S_j|² <= kShellWalkFactor · n` — the kernel takes the minimum
+///    distance and offers the tied replicas in the shell walk's canonical
+///    order (torus: ring dx, then x-offset, then y-offset; grid: dx + D,
+///    then upper before lower), so the same draws pick the same server
+///    with the same tie count and leave the Rng in the same state, and no
+///    shell is walked;
+///  * above — the shell walk itself, which visits about `n / |S_j|` nodes
+///    where the kernel would scan `|S_j|` replicas.
+///
 /// The two reference algorithms stay public as test oracles and serve
-/// non-lattice topologies. Radius streams use the replica list or, for
-/// files with large `|S_j|` on lattices, a per-file bucket grid.
+/// non-lattice topologies.
 
 #include <algorithm>
 #include <cstdint>
@@ -65,6 +75,12 @@ class ReplicaIndex {
   [[nodiscard]] const Topology& topology() const { return *topology_; }
   [[nodiscard]] const Placement& placement() const { return *placement_; }
 
+  /// Lattice files with `|S_j|² > kShellWalkFactor · n` answer `nearest`
+  /// by walking shells and store no packed coordinates (file comment).
+  /// The shell-order replay and the shell walk cost the same at about
+  /// `|S_j|² = 12n..18n` on tori and grids of side 45 to 400.
+  static constexpr std::size_t kShellWalkFactor = 16;
+
   /// Nearest replica of `j` to `u`, uniform among ties. Same server, tie
   /// count and Rng draws as `nearest_by_scan` when `|S_j|² <= n` or the
   /// topology cannot enumerate shells directly, and as `nearest_by_shells`
@@ -78,9 +94,22 @@ class ReplicaIndex {
   /// Nearest replica via the expanding-shell scan (always exact).
   NearestResult nearest_by_shells(NodeId u, FileId j, Rng& rng) const;
 
-  /// `out[i] = topology().distance(u, replicas(j)[i])` for every replica;
-  /// `out.size()` must equal `replica_count(j)`.
-  void replica_distances(NodeId u, FileId j, std::span<Hop> out) const;
+  /// Invoke `fn(NodeId replica, Hop distance)` for every replica of `j`,
+  /// in `placement().replicas(j)` order.
+  template <typename Fn>
+  void for_each_replica(NodeId u, FileId j, Fn&& fn) const {
+    if (has_coords(j)) {
+      scan_lattice(u, j, [&](std::size_t, NodeId v, Hop d) { fn(v, d); });
+    } else if (lattice_ != nullptr) {
+      for (const NodeId v : placement_->replicas(j)) {
+        fn(v, lattice_->distance(u, v));
+      }
+    } else {
+      for (const NodeId v : placement_->replicas(j)) {
+        fn(v, topology_->distance(u, v));
+      }
+    }
+  }
 
   /// Invoke `fn(NodeId replica, Hop distance)` for every replica of `j`
   /// within distance `r` of `u` (including `u` itself if it caches `j`).
@@ -88,8 +117,8 @@ class ReplicaIndex {
   template <typename Fn>
   void for_each_replica_within(NodeId u, FileId j, Hop r, Fn&& fn) const {
     if (r >= topology_->diameter()) {
-      // Unconstrained: the whole replica list qualifies.
-      scan_replicas(u, j, kUnboundedRadius, std::forward<Fn>(fn));
+      // Unconstrained: the whole replica list qualifies, in list order.
+      for_each_replica(u, j, std::forward<Fn>(fn));
       return;
     }
     if (buckets_[j]) {
@@ -112,7 +141,9 @@ class ReplicaIndex {
       });
       return;
     }
-    scan_replicas(u, j, r, std::forward<Fn>(fn));
+    for_each_replica(u, j, [&](NodeId v, Hop d) {
+      if (d <= r) fn(v, d);
+    });
   }
 
   /// `|F_j(u)|` — number of replicas of `j` within distance `r` of `u`.
@@ -131,22 +162,24 @@ class ReplicaIndex {
     std::uint16_t y;
   };
 
-  /// Lattice coordinate of node `v` with no division instruction:
-  /// floor(v / side) is the high word of v · ceil(2^64 / side), exact for
-  /// every 32-bit v (Lemire, Kaser & Kurz, "Faster Remainder by Direct
-  /// Computation", 2019). At side 1 the reciprocal wraps to 0, which still
-  /// maps the only node to (0, 0).
+  /// Lattice coordinate of node `v`.
   [[nodiscard]] PackedCoord coord_of(NodeId v) const {
-    const auto y = static_cast<std::uint32_t>(
-        (static_cast<unsigned __int128>(side_reciprocal_) * v) >> 64);
-    const auto side = static_cast<std::uint32_t>(lattice_->side());
-    return {static_cast<std::uint16_t>(v - y * side),
-            static_cast<std::uint16_t>(y)};
+    const auto side = static_cast<NodeId>(lattice_->side());
+    return {static_cast<std::uint16_t>(v % side),
+            static_cast<std::uint16_t>(v / side)};
+  }
+
+  /// True iff the kernel scans `j`'s list: the lattice files with
+  /// `|S_j|² <= kShellWalkFactor · n`, which hold packed coordinates.
+  [[nodiscard]] bool has_coords(FileId j) const {
+    if (lattice_ == nullptr) return false;
+    const std::size_t replicas = placement_->replica_count(j);
+    return replicas * replicas <= kShellWalkFactor * lattice_->size();
   }
 
   /// The lattice kernel: invoke `fn(i, replica, distance)` for every
   /// replica of `j` in list order, with distances from the packed
-  /// coordinates. Lattice topologies only.
+  /// coordinates. Files with `has_coords(j)` only.
   template <typename Fn>
   void scan_lattice(NodeId u, FileId j, Fn&& fn) const {
     const auto list = placement_->replicas(j);
@@ -177,34 +210,18 @@ class ReplicaIndex {
     }
   }
 
-  /// The replica-list scan behind radius streams; `r = kUnboundedRadius`
-  /// admits every replica.
-  template <typename Fn>
-  void scan_replicas(NodeId u, FileId j, Hop r, Fn&& fn) const {
-    const auto admit = [&](NodeId v, Hop d) {
-      if (r == kUnboundedRadius || d <= r) fn(v, d);
-    };
-    if (lattice_ != nullptr) {
-      scan_lattice(u, j, [&](std::size_t, NodeId v, Hop d) { admit(v, d); });
-      return;
-    }
-    for (const NodeId v : placement_->replicas(j)) {
-      admit(v, topology_->distance(u, v));
-    }
-  }
-
-  /// `nearest()` on a lattice, above the crossover: the shell walk's
-  /// result and draws without walking shells.
+  /// `nearest()` on a lattice between the crossover and the shell-walk
+  /// band: the shell walk's result and draws without walking shells.
   NearestResult nearest_in_shell_order(NodeId u, FileId j, Rng& rng) const;
 
   const Topology* topology_;
   const Lattice* lattice_;  ///< `topology_->as_lattice()`, cached
   const Placement* placement_;
   /// Lattice only: packed replica coordinates, file `j` at
-  /// `coords_[coord_offsets_[j] ..)` in `replicas(j)` order.
+  /// `coords_[coord_offsets_[j] ..)` in `replicas(j)` order; an empty
+  /// range for files the kernel does not scan.
   std::unique_ptr<PackedCoord[]> coords_;
   std::vector<std::size_t> coord_offsets_;
-  std::uint64_t side_reciprocal_ = 0;  ///< ceil(2^64 / side), see coord_of
   std::vector<std::unique_ptr<BucketGrid>> buckets_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 #include <sstream>
 
 #include "util/contracts.hpp"
@@ -26,12 +25,6 @@ ProxWeightedStrategy::ProxWeightedStrategy(const ReplicaIndex& index,
   PROXCACHE_REQUIRE(options.num_choices >= 1 && options.num_choices <= 8,
                     "num_choices must be in [1, 8]");
   PROXCACHE_REQUIRE(options.alpha >= 0.0, "alpha must be >= 0");
-  const Placement& placement = index.placement();
-  std::size_t longest = 0;
-  for (FileId j = 0; j < placement.num_files(); ++j) {
-    longest = std::max(longest, placement.replica_count(j));
-  }
-  distances_.resize(longest);
 }
 
 std::string ProxWeightedStrategy::name() const {
@@ -44,8 +37,7 @@ std::string ProxWeightedStrategy::name() const {
 void ProxWeightedStrategy::propose(const Request& request, Rng& rng,
                                    CandidateArena& arena, Proposal& out) {
   (void)rng;  // weight computation is deterministic; draws happen in choose
-  const auto replicas = index_->placement().replicas(request.file);
-  const std::size_t count = replicas.size();
+  const std::size_t count = index_->placement().replica_count(request.file);
   PROXCACHE_CHECK(count > 0,
                   "uncached file reached the strategy; "
                   "sanitize_trace must run first");
@@ -54,15 +46,14 @@ void ProxWeightedStrategy::propose(const Request& request, Rng& rng,
   // replica (dist 0) at finite weight. The left-to-right summation order
   // matches the historical pass, so `total_weight` is the bit-identical
   // double.
-  const std::span<Hop> distances(distances_.data(), count);
-  index_->replica_distances(request.origin, request.file, distances);
   out.first = static_cast<std::uint32_t>(arena.size());
   double total = 0.0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const double w = weights_(distances[i]);
-    arena.push_back({replicas[i], distances[i], w});
-    total += w;
-  }
+  index_->for_each_replica(request.origin, request.file,
+                           [&](NodeId v, Hop d) {
+                             const double w = weights_(d);
+                             arena.push_back({v, d, w});
+                             total += w;
+                           });
   out.count = static_cast<std::uint32_t>(count);
   out.total_weight = total;
 }

@@ -50,8 +50,8 @@ struct ProxWeightedOptions {
 };
 
 /// Sample d replicas with probability ∝ (1+dist)^-alpha, serve the
-/// least-loaded. Split-phase: `propose` reads every replica's distance
-/// through `ReplicaIndex::replica_distances` (the lattice kernel on
+/// least-loaded. Split-phase: `propose` streams every replica's distance
+/// through `ReplicaIndex::for_each_replica` (the lattice kernel on
 /// lattices) and looks its weight up in the per-alpha table — O(|S_j|),
 /// RNG-free, no `std::pow` per replica. `choose` runs the whole d-pick
 /// loop, O(d·|S_j|): each pick's weighted draw walks the window, and the
@@ -79,9 +79,6 @@ class ProxWeightedStrategy final : public SplitPhaseStrategy {
   const ReplicaIndex* index_;
   ProxWeightedOptions options_;
   ProximityWeights weights_;
-  /// `propose` scratch, sized once for the longest replica list so that
-  /// `propose` never allocates. Each sharded lane owns its own instance.
-  std::vector<Hop> distances_;
 };
 
 }  // namespace proxcache

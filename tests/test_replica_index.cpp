@@ -1,8 +1,8 @@
 // Tests for spatial/replica_index: the two reference nearest-replica
 // algorithms must agree with each other and with brute force (distance and
 // tie count); the lattice kernel's `nearest` must replay the frozen
-// reference dispatch draw for draw; per-replica distances must match the
-// topology on every topology family; and radius streams must match the
+// reference dispatch draw for draw; the list-order replica stream must
+// carry the topology's distances on every topology family; and radius streams must match the
 // distance predicate with and without bucket grids.
 #include "spatial/replica_index.hpp"
 
@@ -130,11 +130,13 @@ TEST_P(KernelDifferentialTest, NearestReplaysTheReferenceDispatch) {
   const Lattice lattice(side, wrap);
   const std::size_t n = lattice.size();
   constexpr std::size_t kFiles = 12;
-  std::size_t scan_files = 0;
-  std::size_t shell_files = 0;
-  std::size_t interior_ranks = 0;  // shell-order queries with >= 3 ties
-  // Cache sizes 1..8 under Zipf popularity put |S_j| on both sides of
-  // the |S_j|² = n crossover.
+  const std::size_t walk_limit = ReplicaIndex::kShellWalkFactor * n;
+  std::size_t scan_files = 0;    // |S_j|² <= n: list-order replay
+  std::size_t replay_files = 0;  // up to walk_limit: shell-order replay
+  std::size_t walk_files = 0;    // beyond: the shell walk itself
+  std::size_t interior_ranks = 0;  // shell-order replays with >= 3 ties
+  // Cache sizes 1..8 under Zipf popularity put |S_j| in all three bands
+  // of `nearest` (see replica_index.hpp).
   for (const std::size_t cache : {std::size_t{1}, std::size_t{3},
                                   std::size_t{8}}) {
     Rng placement_rng(0xD1FF + cache);
@@ -145,7 +147,10 @@ TEST_P(KernelDifferentialTest, NearestReplaysTheReferenceDispatch) {
     for (FileId j = 0; j < kFiles; ++j) {
       const std::size_t replicas = placement.replica_count(j);
       if (replicas == 0) continue;
-      ++(replicas * replicas <= n ? scan_files : shell_files);
+      const std::size_t squared = replicas * replicas;
+      ++(squared <= n            ? scan_files
+         : squared <= walk_limit ? replay_files
+                                 : walk_files);
     }
     Rng kernel_rng(cache);
     Rng reference_rng(cache);
@@ -160,15 +165,20 @@ TEST_P(KernelDifferentialTest, NearestReplaysTheReferenceDispatch) {
         ASSERT_EQ(kernel.ties, reference.ties) << where;
         ASSERT_EQ(kernel_rng.bits(), reference_rng.bits()) << where;
         const std::size_t replicas = placement.replica_count(j);
-        if (replicas * replicas > n && kernel.ties >= 3) ++interior_ranks;
+        const std::size_t squared = replicas * replicas;
+        if (squared > n && squared <= walk_limit && kernel.ties >= 3) {
+          ++interior_ranks;
+        }
       }
     }
   }
   EXPECT_GT(scan_files, 0u);
   if (n >= 4) {
-    EXPECT_GT(shell_files, 0u);
+    EXPECT_GT(replay_files + walk_files, 0u);
   }
   if (side >= 7) {
+    EXPECT_GT(replay_files, 0u);
+    EXPECT_GT(walk_files, 0u);
     EXPECT_GT(interior_ranks, 0u);
   }
 }
@@ -203,21 +213,20 @@ void expect_distances_match_topology(const Topology& topology,
   for (NodeId u = 0; u < n; u += 1 + n / 40) {
     for (FileId j = 0; j < kFiles; ++j) {
       const auto list = placement.replicas(j);
-      std::vector<Hop> distances(list.size(), kUnboundedRadius);
-      index.replica_distances(u, j, distances);
-      for (std::size_t i = 0; i < list.size(); ++i) {
-        EXPECT_EQ(distances[i], topology.distance(u, list[i]))
-            << label << " u=" << u << " j=" << j << " replica " << list[i];
-      }
+      std::size_t i = 0;
+      index.for_each_replica(u, j, [&](NodeId v, Hop d) {
+        ASSERT_LT(i, list.size()) << label << " u=" << u << " j=" << j;
+        EXPECT_EQ(v, list[i]) << label << " u=" << u << " j=" << j;
+        EXPECT_EQ(d, topology.distance(u, v))
+            << label << " u=" << u << " j=" << j << " replica " << v;
+        ++i;
+      });
+      EXPECT_EQ(i, list.size()) << label << " u=" << u << " j=" << j;
     }
   }
-  std::vector<Hop> wrong_size(placement.replica_count(0) + 1);
-  EXPECT_THROW(index.replica_distances(0, 0, wrong_size),
-               std::invalid_argument)
-      << label;
 }
 
-TEST(ReplicaIndex, ReplicaDistancesMatchTopologyDistance) {
+TEST(ReplicaIndex, ForEachReplicaVisitsTheListWithTopologyDistances) {
   for (const Wrap wrap : {Wrap::Torus, Wrap::Grid}) {
     const Lattice lattice(13, wrap);
     expect_distances_match_topology(lattice, lattice.describe());
