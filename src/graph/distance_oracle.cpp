@@ -16,6 +16,26 @@ constexpr std::uint16_t kUnreached = std::numeric_limits<std::uint16_t>::max();
 /// Largest hop count the uint16 storage can represent.
 constexpr Hop kMaxStorableHops = kUnreached - 1;
 
+/// `distances` output placeholder for a target answered by the landmark
+/// bound (at most 2 · kMaxStorableHops, so never equal to it).
+constexpr Hop kLandmarkPending = kUnboundedRadius;
+
+/// How many targets ahead `distances` prefetches table entries.
+constexpr std::size_t kPrefetchAhead = 8;
+
+/// `min_L d(u, L) + d(L, v)` over the k node-major landmark entries of
+/// `u` and `v`, summed in `Sum`. `uint16_t` sums vectorize twice as wide;
+/// they are exact when every entry pair sums below 65535.
+template <typename Sum>
+Hop landmark_bound(const std::uint16_t* ru, const std::uint16_t* rv,
+                   std::size_t k) {
+  Sum best = std::numeric_limits<Sum>::max();
+  for (std::size_t i = 0; i < k; ++i) {
+    best = std::min(best, static_cast<Sum>(ru[i] + rv[i]));
+  }
+  return best;
+}
+
 [[noreturn]] void throw_depth_overflow(NodeId source) {
   throw std::invalid_argument(
       "graph shortest paths from vertex " + std::to_string(source) +
@@ -137,6 +157,8 @@ void DistanceOracle::build_sparse(const CompactGraph& graph) {
     lower = std::max(lower, eccentricity[i]);
     if (eccentricity[i] < eccentricity[central]) central = i;
   }
+  // No landmark entry exceeds its landmark's eccentricity.
+  narrow_landmark_sums_ = 2 * lower < kUnreached;
   const std::uint16_t* center_row = landmark_dist_.data() + central * n_;
   const Hop center_ecc = eccentricity[central];
 
@@ -198,12 +220,15 @@ Hop DistanceOracle::landmark_upper_bound(NodeId u, NodeId v) const {
   const std::size_t k = landmarks_.size();
   const std::uint16_t* ru = landmark_dist_.data() + std::size_t{u} * k;
   const std::uint16_t* rv = landmark_dist_.data() + std::size_t{v} * k;
-  Hop best = kUnboundedRadius;
-  for (std::size_t i = 0; i < k; ++i) {
-    const Hop via = static_cast<Hop>(ru[i]) + static_cast<Hop>(rv[i]);
-    best = std::min(best, via);
-  }
-  return best;
+  return narrow_landmark_sums_ ? landmark_bound<std::uint16_t>(ru, rv, k)
+                               : landmark_bound<Hop>(ru, rv, k);
+}
+
+std::span<const NodeId> DistanceOracle::last_level(const Row& row) {
+  const std::size_t levels = row.level_end.size();
+  const std::uint32_t begin = levels < 2 ? 0 : row.level_end[levels - 2];
+  return std::span<const NodeId>(row.nodes).subspan(
+      begin, row.level_end.back() - begin);
 }
 
 DistanceOracle::Row& DistanceOracle::row_for(NodeId u) const {
@@ -217,7 +242,6 @@ DistanceOracle::Row& DistanceOracle::row_for(NodeId u) const {
   auto row = std::make_unique<Row>();
   row->nodes.push_back(u);
   row->level_end.push_back(1);
-  row->frontier.push_back(u);
   if (n_ == 1) row->complete = true;
   update_budget_depth(*row);
   lru_.push_front(u);
@@ -272,7 +296,7 @@ void DistanceOracle::extend_row(Row& row, NodeId source) const {
   const Hop depth = static_cast<Hop>(row.level_end.size());
   if (depth > kMaxStorableHops) throw_depth_overflow(source);
   std::vector<NodeId> next;
-  for (const NodeId u : row.frontier) {
+  for (const NodeId u : last_level(row)) {
     for (const std::uint32_t v : graph_->neighbors(u)) {
       if (mark_depth_[v] == kUnreached) {
         mark_depth_[v] = static_cast<std::uint16_t>(depth);
@@ -290,7 +314,6 @@ void DistanceOracle::extend_row(Row& row, NodeId source) const {
     row.nodes.insert(row.nodes.end(), next.begin(), next.end());
     row.level_end.push_back(static_cast<std::uint32_t>(row.nodes.size()));
     cached_entries_ += next.size();
-    row.frontier = std::move(next);
   }
   update_budget_depth(row);
 }
@@ -339,7 +362,8 @@ void DistanceOracle::stream_beyond(
     FunctionRef<void(Hop, const std::vector<NodeId>&)> fn) const {
   if (row.complete) return;
   bind_marks(row, source);
-  std::vector<NodeId> frontier = row.frontier;
+  std::span<const NodeId> frontier = last_level(row);
+  std::vector<NodeId> level;
   std::vector<NodeId> next;
   auto depth = static_cast<Hop>(row.level_end.size());
   while (depth <= target) {
@@ -359,7 +383,8 @@ void DistanceOracle::stream_beyond(
     // expose; BFS level sets do not depend on intra-level order.
     std::sort(next.begin(), next.end());
     fn(depth, next);
-    frontier.swap(next);
+    level.swap(next);
+    frontier = level;
     ++depth;
   }
   // The marks now carry streamed levels the stored row does not own;
@@ -380,6 +405,23 @@ Hop DistanceOracle::budget_ball_depth(NodeId u) const {
   return row.budget_depth;
 }
 
+std::uint16_t DistanceOracle::depth_in_budget_ball(Row& row, NodeId source,
+                                                   NodeId v) const {
+  // Lazy budget-ball growth: stop as soon as `v` turns up. A node found
+  // before the budget is met is inside B*(source) by definition, so the
+  // answer is identical to the eager build — just without paying for the
+  // full budget ball when `v` is close.
+  while (true) {
+    const std::uint16_t d = mark_depth_[v];
+    if (d != kUnreached &&
+        (!row.budget_depth_known || d <= row.budget_depth)) {
+      return d;
+    }
+    if (row.budget_depth_known) return kUnreached;
+    extend_row(row, source);
+  }
+}
+
 Hop DistanceOracle::distance(NodeId u, NodeId v) const {
   PROXCACHE_REQUIRE(u < n_ && v < n_, "node id out of range");
   if (dense_) return dense_distance(u, v);
@@ -388,23 +430,83 @@ Hop DistanceOracle::distance(NodeId u, NodeId v) const {
     std::lock_guard<std::mutex> lock(cache_mutex_);
     Row& row = row_for(u);
     bind_marks(row, u);
-    // Lazy budget-ball growth: stop as soon as `v` turns up. A node found
-    // before the budget is met is inside B*(u) by definition, so the
-    // answer is identical to the eager build — just without paying for
-    // the full budget ball when `v` is close.
-    while (true) {
-      const std::uint16_t d = mark_depth_[v];
-      if (d != kUnreached &&
-          (!row.budget_depth_known || d <= row.budget_depth)) {
-        ++stats_.exact_answers;
-        return d;
-      }
-      if (row.budget_depth_known) break;
-      extend_row(row, u);
+    const std::uint16_t d = depth_in_budget_ball(row, u, v);
+    if (d != kUnreached) {
+      ++stats_.exact_answers;
+      return d;
     }
     ++stats_.landmark_answers;
   }
   return landmark_upper_bound(u, v);
+}
+
+void DistanceOracle::distances(NodeId u, std::span<const NodeId> vs,
+                               std::span<Hop> out) const {
+  PROXCACHE_REQUIRE(u < n_, "node id out of range");
+  PROXCACHE_REQUIRE(out.size() == vs.size(), "one output slot per target");
+  for (const NodeId v : vs) PROXCACHE_REQUIRE(v < n_, "node id out of range");
+  const std::size_t count = vs.size();
+  if (dense_) {
+    const std::uint16_t* row = dense_dist_.data() + std::size_t{u} * n_;
+    for (std::size_t i = 0; i < count; ++i) out[i] = row[vs[i]];
+    return;
+  }
+  // Under the mutex, in list order so lazy growth and the counters follow
+  // the per-pair loop: exact answers from the budget ball; landmark cases
+  // are only flagged. The row is resolved at the first `v != u`, where
+  // the per-pair loop would first touch it.
+  bool pending = false;
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    Row* row = nullptr;
+    for (std::size_t i = 0; i < count; ++i) {
+      const NodeId v = vs[i];
+      if (i + kPrefetchAhead < count) {
+        __builtin_prefetch(mark_depth_.data() + vs[i + kPrefetchAhead]);
+      }
+      if (v == u) {
+        out[i] = 0;
+        continue;
+      }
+      if (row == nullptr) {
+        row = &row_for(u);
+        bind_marks(*row, u);
+      }
+      const std::uint16_t d = depth_in_budget_ball(*row, u, v);
+      if (d != kUnreached) {
+        ++stats_.exact_answers;
+        out[i] = d;
+      } else {
+        ++stats_.landmark_answers;
+        out[i] = kLandmarkPending;
+        pending = true;
+      }
+    }
+  }
+  if (!pending) return;
+  // The landmark table is immutable: estimates need no lock. `u`'s entries
+  // are read once; later targets' entries are prefetched (k · n · 2 bytes,
+  // 32 MB at a million nodes).
+  const std::size_t k = landmarks_.size();
+  const std::uint16_t* table = landmark_dist_.data();
+  const std::uint16_t* ru = table + std::size_t{u} * k;
+  const auto fill = [&](auto sum) {
+    using Sum = decltype(sum);
+    for (std::size_t i = 0; i < count; ++i) {
+      if (i + kPrefetchAhead < count &&
+          out[i + kPrefetchAhead] == kLandmarkPending) {
+        __builtin_prefetch(table + std::size_t{vs[i + kPrefetchAhead]} * k);
+      }
+      if (out[i] == kLandmarkPending) {
+        out[i] = landmark_bound<Sum>(ru, table + std::size_t{vs[i]} * k, k);
+      }
+    }
+  };
+  if (narrow_landmark_sums_) {
+    fill(std::uint16_t{});
+  } else {
+    fill(Hop{});
+  }
 }
 
 std::optional<Hop> DistanceOracle::certified_distance(NodeId u,
@@ -415,16 +517,9 @@ std::optional<Hop> DistanceOracle::certified_distance(NodeId u,
   std::lock_guard<std::mutex> lock(cache_mutex_);
   Row& row = row_for(u);
   bind_marks(row, u);
-  while (true) {
-    const std::uint16_t d = mark_depth_[v];
-    if (d != kUnreached &&
-        (!row.budget_depth_known || d <= row.budget_depth)) {
-      return static_cast<Hop>(d);
-    }
-    if (row.budget_depth_known) break;
-    extend_row(row, u);
-  }
-  return std::nullopt;
+  const std::uint16_t d = depth_in_budget_ball(row, u, v);
+  if (d == kUnreached) return std::nullopt;
+  return static_cast<Hop>(d);
 }
 
 void DistanceOracle::visit_shell(NodeId u, Hop d, OracleNodeVisitor fn) const {

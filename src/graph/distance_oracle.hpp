@@ -41,6 +41,15 @@
 ///    bound (`<= 2x` the true diameter). Never an underestimate — loops of
 ///    the form `for d <= diameter()` stay complete.
 ///
+/// Bulk queries: `distances(u, vs, out)` answers a whole target list from
+/// one source exactly as the per-pair `distance(u, v)` loop would — same
+/// values, same `stats()` and `cached_entries()` afterwards — but takes the
+/// mutex once, resolves and touches `u`'s row once and binds the marks once
+/// per call instead of once per target. Landmark estimates are filled in
+/// after the mutex is released. It runs no callback at all, so callers
+/// iterate the answers with the mutex free (replica scans hand their
+/// visitors the finished chunk).
+///
 /// Thread safety: all queries are safe from multiple threads. Sparse-mode
 /// queries serialize on one internal mutex (the row cache mutates); the
 /// dense regime is lock-free. Visitor callbacks run under that mutex and
@@ -58,6 +67,7 @@
 
 #include <mutex>
 #include <optional>
+#include <span>
 
 namespace proxcache {
 
@@ -109,6 +119,14 @@ class DistanceOracle {
   /// upper bound otherwise.
   [[nodiscard]] Hop distance(NodeId u, NodeId v) const;
 
+  /// Bulk `distance`: `out[i] = distance(u, vs[i])` for every `i`, leaving
+  /// `stats()` and `cached_entries()` exactly where the per-pair loop would
+  /// (`v == u` answers 0 uncounted; an all-`u` or empty list builds no
+  /// row). One mutex acquisition per call (file comment). Requires
+  /// `out.size() == vs.size()`.
+  void distances(NodeId u, std::span<const NodeId> vs,
+                 std::span<Hop> out) const;
+
   /// Exact distance when this oracle can certify it (dense mode, or
   /// `v ∈ B*(u)`); nullopt when only the landmark estimate is available.
   [[nodiscard]] std::optional<Hop> certified_distance(NodeId u,
@@ -144,13 +162,15 @@ class DistanceOracle {
   /// One on-demand BFS ball. Levels are stored concatenated in `nodes`
   /// with `level_end[d]` marking the end of depth `d`; each level is
   /// sorted by node id (the same enumeration order the dense row scan
-  /// produces). Membership/depth queries go through the shared flat mark
-  /// array (`bind_marks`) — a per-row hash map would dominate the BFS.
+  /// produces). The BFS frontier is the last stored level's slice of
+  /// `nodes` (`last_level`), so a row holds each ball node once and
+  /// `cached_entries()` counts all of it. Membership/depth queries go
+  /// through the shared flat mark array (`bind_marks`) — a per-row hash
+  /// map would dominate the BFS.
   struct Row {
     std::vector<NodeId> nodes;
     std::vector<std::uint32_t> level_end;
-    std::vector<NodeId> frontier;  ///< last completed level, BFS order
-    bool complete = false;         ///< ball == whole graph
+    bool complete = false;  ///< ball == whole graph
     /// Last level of the *budget-truncated* BFS — the exactness horizon of
     /// `distance`. Set once, when a level's predicted successor no longer
     /// fits `distance_ball_budget` (or the graph is exhausted); see
@@ -163,13 +183,23 @@ class DistanceOracle {
     return dense_dist_[static_cast<std::size_t>(u) * n_ + v];
   }
 
+  /// The deepest stored level of `row` — the frontier its BFS grows from.
+  [[nodiscard]] static std::span<const NodeId> last_level(const Row& row);
+
   // Sparse-regime internals; all require cache_mutex_ held.
   Row& row_for(NodeId u) const;
+  /// The exactness rule behind `distance`, `certified_distance` and
+  /// `distances`: the depth of `v != source` in the budget ball B*(source),
+  /// growing `row` level by level only until `v` turns up or the budget
+  /// depth is known; kUnreached when `v` lies outside B*(source). Requires
+  /// the marks bound to `row`.
+  std::uint16_t depth_in_budget_ball(Row& row, NodeId source,
+                                     NodeId v) const;
   void extend_row(Row& row, NodeId source) const;  ///< one more BFS level
   void update_budget_depth(Row& row) const;
   void ensure_depth(Row& row, NodeId source, Hop d) const;
   void ensure_budget_depth(Row& row, NodeId source) const;
-  /// BFS levels past the stored horizon, streamed from `row.frontier`
+  /// BFS levels past the stored horizon, streamed from `last_level(row)`
   /// through the mark scratch without growing the stored row: calls
   /// `fn(depth, level)` for each level in (stored, target], each sorted by
   /// node id. Invalidates the mark binding on return.
@@ -198,6 +228,9 @@ class DistanceOracle {
   // construction; transposed at the end of build_sparse.
   std::vector<NodeId> landmarks_;
   std::vector<std::uint16_t> landmark_dist_;
+  /// Every pair of landmark entries sums below 65535 (twice the largest
+  /// landmark eccentricity does), so bounds can be summed in uint16.
+  bool narrow_landmark_sums_ = false;
 
   mutable std::mutex cache_mutex_;
   mutable std::list<NodeId> lru_;  ///< most recent first

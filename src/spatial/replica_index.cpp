@@ -225,7 +225,10 @@ NearestResult ReplicaIndex::nearest(NodeId u, FileId j, Rng& rng) const {
   }
   if (replicas * replicas <= n ||
       !topology_->directly_enumerates_shells()) {
-    return nearest_by_scan(u, j, rng);
+    // `nearest_by_scan`'s offers, over the chunked distance stream.
+    return nearest_in_list_order(
+        [&](auto&& visit) { for_each_replica(u, j, visit); },
+        topology_->diameter() + 1, rng);
   }
   return nearest_by_shells(u, j, rng);
 }

@@ -34,8 +34,16 @@
 ///  * above — the shell walk itself, which visits about `n / |S_j|` nodes
 ///    where the kernel would scan `|S_j|` replicas.
 ///
-/// The two reference algorithms stay public as test oracles and serve
-/// non-lattice topologies.
+/// **Other topologies.** List scans ask the topology for a chunk of
+/// `kDistanceChunk` replica distances at a time (`Topology::distances`,
+/// one oracle lock per chunk on sparse graphs) into a stack buffer, then
+/// hand the chunk to the visitor — again no allocation or shared scratch,
+/// and no visitor runs inside the topology. `nearest()`'s scan band reads
+/// the same stream.
+///
+/// The two reference algorithms stay public as test oracles
+/// (`nearest_by_scan` asks for one distance at a time);
+/// `nearest_by_shells` also answers every shell band.
 
 #include <algorithm>
 #include <cstdint>
@@ -81,6 +89,10 @@ class ReplicaIndex {
   /// `|S_j|² = 12n..18n` on tori and grids of side 45 to 400.
   static constexpr std::size_t kShellWalkFactor = 16;
 
+  /// Replica distances a non-lattice list scan requests per
+  /// `Topology::distances` call (file comment).
+  static constexpr std::size_t kDistanceChunk = 256;
+
   /// Nearest replica of `j` to `u`, uniform among ties. Same server, tie
   /// count and Rng draws as `nearest_by_scan` when `|S_j|² <= n` or the
   /// topology cannot enumerate shells directly, and as `nearest_by_shells`
@@ -105,9 +117,7 @@ class ReplicaIndex {
         fn(v, lattice_->distance(u, v));
       }
     } else {
-      for (const NodeId v : placement_->replicas(j)) {
-        fn(v, topology_->distance(u, v));
-      }
+      scan_topology(u, j, fn);
     }
   }
 
@@ -207,6 +217,24 @@ class ReplicaIndex {
       run(std::true_type{});
     } else {
       run(std::false_type{});
+    }
+  }
+
+  /// `for_each_replica` off lattices: `kDistanceChunk` distances per
+  /// `Topology::distances` call (file comment). A function of its own so
+  /// `for_each_replica` stays small enough to inline into its callers:
+  /// with this loop written inline, prox-weighted's torus scan no longer
+  /// inlined and ran slower.
+  template <typename Fn>
+  void scan_topology(NodeId u, FileId j, Fn& fn) const {
+    const auto list = placement_->replicas(j);
+    Hop hops[kDistanceChunk];
+    for (std::size_t begin = 0; begin < list.size();
+         begin += kDistanceChunk) {
+      const auto chunk =
+          list.subspan(begin, std::min(kDistanceChunk, list.size() - begin));
+      topology_->distances(u, chunk, std::span<Hop>(hops, chunk.size()));
+      for (std::size_t i = 0; i < chunk.size(); ++i) fn(chunk[i], hops[i]);
     }
   }
 

@@ -52,6 +52,11 @@ class GraphTopology final : public Topology {
   [[nodiscard]] Hop distance(NodeId u, NodeId v) const override {
     return oracle_.distance(u, v);
   }
+  /// One oracle call (one lock in the sparse regime) per target list.
+  void distances(NodeId u, std::span<const NodeId> vs,
+                 std::span<Hop> out) const override {
+    oracle_.distances(u, vs, out);
+  }
   [[nodiscard]] Hop diameter() const override { return oracle_.diameter(); }
 
   /// Exact shell in increasing node-id order (deterministic in both oracle

@@ -2,7 +2,15 @@
 
 #include <algorithm>
 
+#include "util/contracts.hpp"
+
 namespace proxcache {
+
+void Topology::distances(NodeId u, std::span<const NodeId> vs,
+                         std::span<Hop> out) const {
+  PROXCACHE_REQUIRE(out.size() == vs.size(), "one output slot per target");
+  for (std::size_t i = 0; i < vs.size(); ++i) out[i] = distance(u, vs[i]);
+}
 
 void Topology::visit_shell(NodeId u, Hop d, NodeVisitor fn) const {
   // Generic fallback: scan all nodes in id order. Correct for any metric;

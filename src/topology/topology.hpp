@@ -17,6 +17,10 @@
 /// Contract for implementations:
 ///  * node ids are dense, `[0, size())`;
 ///  * `distance` is a metric in hops; `diameter()` is its maximum;
+///  * `distances(u, vs, out)` answers `out[i] = distance(u, vs[i])` for a
+///    whole target list and must agree with the per-pair calls value for
+///    value; overrides only amortize per-call cost (one oracle lock per
+///    list on sparse graphs) and never invoke caller code;
 ///  * `visit_shell(u, d, fn)` enumerates every node at distance exactly `d`
 ///    from `u`, each exactly once, in a *deterministic* order — the
 ///    reservoir-sampling query layer consumes RNG draws per visited node,
@@ -25,6 +29,7 @@
 ///    workloads to anchor demand discs.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,6 +56,12 @@ class Topology {
 
   /// Hop (shortest-path) distance between two nodes.
   [[nodiscard]] virtual Hop distance(NodeId u, NodeId v) const = 0;
+
+  /// Bulk distance from one source: `out[i] = distance(u, vs[i])` for
+  /// every `i` (`out.size() == vs.size()`). The default is the per-pair
+  /// loop; `GraphTopology` forwards to its oracle's batched query.
+  virtual void distances(NodeId u, std::span<const NodeId> vs,
+                         std::span<Hop> out) const;
 
   /// Largest hop distance between any two nodes.
   [[nodiscard]] virtual Hop diameter() const = 0;

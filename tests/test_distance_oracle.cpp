@@ -5,7 +5,9 @@
 // change a result), keep shells exact and id-sorted in both regimes, and
 // reject over-deep graphs with a user-facing error instead of an internal
 // assertion. The landmark approximation is checked against exact BFS on
-// every registered topology at small n.
+// every registered topology at small n. The bulk `distances` query must
+// leave answers, counters and cache occupancy exactly where the per-pair
+// loop does, also under concurrent callers.
 #include "graph/distance_oracle.hpp"
 
 #include <gtest/gtest.h>
@@ -15,12 +17,15 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "topology/graph_topology.hpp"
 #include "topology/hyperbolic.hpp"
 #include "topology/registry.hpp"
+#include "random/rng.hpp"
+#include "spatial/replica_index.hpp"
 #include "topology/spec.hpp"
 
 namespace proxcache {
@@ -316,6 +321,248 @@ TEST(DistanceOracle, DeepBallWalksStreamWithoutGrowingResidentRows) {
   EXPECT_EQ(sparse.stats().rows_built, static_cast<std::uint64_t>(n));
   EXPECT_EQ(sparse.stats().rows_evicted, 0u)
       << "deep ball walks must not blow the row cache past its budget";
+}
+
+// ---------------------------------------------------------------------------
+// Bulk queries: `distances(u, vs)` against a twin oracle asked pair by pair.
+// ---------------------------------------------------------------------------
+
+void expect_same_state(const DistanceOracle& batched,
+                       const DistanceOracle& twin, const std::string& label) {
+  const DistanceOracle::Stats a = batched.stats();
+  const DistanceOracle::Stats b = twin.stats();
+  EXPECT_EQ(a.rows_built, b.rows_built) << label;
+  EXPECT_EQ(a.rows_evicted, b.rows_evicted) << label;
+  EXPECT_EQ(a.exact_answers, b.exact_answers) << label;
+  EXPECT_EQ(a.landmark_answers, b.landmark_answers) << label;
+  EXPECT_EQ(batched.cached_entries(), twin.cached_entries()) << label;
+}
+
+/// One list through `batched.distances` and through `twin.distance` pair
+/// by pair; answers, counters and cache occupancy must agree afterwards.
+void expect_batch_matches_pairs(const DistanceOracle& batched,
+                                const DistanceOracle& twin, NodeId u,
+                                const std::vector<NodeId>& vs,
+                                const std::string& label) {
+  std::vector<Hop> out(vs.size(), kUnboundedRadius - 1);
+  batched.distances(u, vs, out);
+  for (std::size_t i = 0; i < vs.size(); ++i) {
+    ASSERT_EQ(out[i], twin.distance(u, vs[i]))
+        << label << " u=" << u << " v=" << vs[i] << " at " << i;
+  }
+  expect_same_state(batched, twin,
+                    label + " u=" + std::to_string(u) +
+                        " len=" + std::to_string(vs.size()));
+}
+
+/// `count` targets drawn uniformly with replacement (so with duplicates),
+/// plus the source itself at a few fixed positions.
+std::vector<NodeId> target_list(std::size_t n, NodeId u, std::size_t count,
+                                Rng& rng) {
+  std::vector<NodeId> vs(count);
+  for (NodeId& v : vs) v = static_cast<NodeId>(rng.below(n));
+  for (const std::size_t at : {std::size_t{0}, count / 2, count - 1}) {
+    if (at < count) vs[at] = u;
+  }
+  return vs;
+}
+
+/// The differential schedule on one graph and option set: empty lists,
+/// all-source lists, duplicates, lengths straddling the replica scan's
+/// chunk, deep shell streams between lists (they force a mark rebind, for
+/// the list's source and for others), repeated sources and fresh ones.
+void run_batch_differential(const CompactGraph& graph,
+                            const DistanceOracle::Options& options,
+                            const std::string& label) {
+  const DistanceOracle batched(graph, options);
+  const DistanceOracle twin(graph, options);
+  const std::size_t n = graph.num_vertices();
+  const std::size_t chunk = ReplicaIndex::kDistanceChunk;
+  Rng rng(99);
+
+  // Empty and source-only lists build no row and count nothing.
+  expect_batch_matches_pairs(batched, twin, 3, {}, label + " empty");
+  expect_batch_matches_pairs(batched, twin, 3, {3, 3, 3},
+                             label + " source only");
+  expect_same_state(batched, twin, label + " before any row");
+  EXPECT_EQ(batched.stats().rows_built, 0u) << label;
+
+  // Near targets only: the per-pair loop grows a fresh row just deep
+  // enough to reach them, so the batch must not grow it any further.
+  for (const NodeId u : {NodeId{5}, NodeId{6}}) {
+    std::vector<NodeId> near = {u};
+    for (const std::uint32_t v : graph.neighbors(u)) near.push_back(v);
+    expect_batch_matches_pairs(batched, twin, u, near, label + " neighbors");
+  }
+
+  const std::vector<std::size_t> lengths = {1,     2,         chunk - 1,
+                                            chunk, chunk + 1, 1000};
+  for (std::size_t round = 0; round < 12; ++round) {
+    const auto u = static_cast<NodeId>(round % 3 == 0 ? round % 4
+                                                      : rng.below(n));
+    for (const std::size_t length : lengths) {
+      expect_batch_matches_pairs(batched, twin, u,
+                                 target_list(n, u, length, rng),
+                                 label + " round " + std::to_string(round));
+    }
+    // A deep shell stream from the same source and from another one: both
+    // leave the marks bound to streamed levels the stored rows do not own.
+    const Hop deep = batched.diameter();
+    const auto other = static_cast<NodeId>(rng.below(n));
+    for (const NodeId w : {u, other}) {
+      std::size_t a = 0;
+      std::size_t b = 0;
+      batched.visit_shell(w, deep, [&](NodeId) { ++a; });
+      twin.visit_shell(w, deep, [&](NodeId) { ++b; });
+      EXPECT_EQ(a, b) << label;
+      EXPECT_EQ(batched.ball_size(w, deep), twin.ball_size(w, deep)) << label;
+    }
+    expect_batch_matches_pairs(batched, twin, u,
+                               target_list(n, u, chunk + 1, rng),
+                               label + " after shells");
+  }
+}
+
+TEST(DistanceOracleBatch, SparseRggMatchesThePerPairLoop) {
+  const auto rgg = make_rgg_topology(600, 0.07, 5);
+  DistanceOracle::Options options;
+  options.dense_threshold = 0;
+  // Exact near, landmark far; several levels deep, so lazy growth shows.
+  options.distance_ball_budget = 160;
+  run_batch_differential(rgg->graph(), options, "rgg");
+
+  const DistanceOracle probe(rgg->graph(), options);
+  std::vector<Hop> out(300);
+  std::vector<NodeId> vs(300);
+  for (NodeId v = 0; v < 300; ++v) vs[v] = 2 * v;
+  probe.distances(0, vs, out);
+  EXPECT_GT(probe.stats().exact_answers, 0u) << "both answer kinds occur";
+  EXPECT_GT(probe.stats().landmark_answers, 0u) << "both answer kinds occur";
+}
+
+TEST(DistanceOracleBatch, SparseHyperbolicMatchesThePerPairLoop) {
+  const auto hyperbolic = make_hyperbolic_topology(700, 6.0, 0.8, 3);
+  DistanceOracle::Options options;
+  options.dense_threshold = 0;
+  options.distance_ball_budget = 40;
+  options.num_landmarks = 8;
+  run_batch_differential(hyperbolic->graph(), options, "hyperbolic");
+}
+
+TEST(DistanceOracleBatch, LruEvictionsMatchThePerPairLoop) {
+  const auto rgg = make_rgg_topology(400, 0.09, 12);
+  DistanceOracle::Options options;
+  options.dense_threshold = 0;
+  options.distance_ball_budget = 32;
+  options.cache_entry_budget = 40;  // about one row: every new source evicts
+  run_batch_differential(rgg->graph(), options, "tiny cache");
+  const DistanceOracle churned(rgg->graph(), options);
+  Rng rng(5);
+  for (NodeId u = 0; u < 20; ++u) {
+    std::vector<Hop> out(64);
+    churned.distances(u, target_list(400, u, 64, rng), out);
+  }
+  EXPECT_GT(churned.stats().rows_evicted, 0u) << "the budget must churn";
+}
+
+TEST(DistanceOracleBatch, DenseMatrixMatchesThePerPairLoop) {
+  const auto rgg = make_rgg_topology(300, 0.1, 9);
+  const DistanceOracle dense(rgg->graph(), DistanceOracle::Options{});
+  ASSERT_TRUE(dense.exact());
+  run_batch_differential(rgg->graph(), DistanceOracle::Options{}, "dense");
+  EXPECT_EQ(dense.cached_entries(), 0u);
+}
+
+TEST(DistanceOracleBatch, GraphTopologyForwardsToTheOracle) {
+  const auto rgg = make_rgg_topology(500, 0.08, 2, [] {
+    DistanceOracle::Options options;
+    options.dense_threshold = 64;
+    options.distance_ball_budget = 40;
+    return options;
+  }());
+  ASSERT_FALSE(rgg->oracle().exact());
+  Rng rng(8);
+  const std::vector<NodeId> vs = target_list(500, 17, 300, rng);
+  std::vector<Hop> out(vs.size());
+  const Topology& topology = *rgg;
+  topology.distances(17, vs, out);
+  for (std::size_t i = 0; i < vs.size(); ++i) {
+    EXPECT_EQ(out[i], rgg->distance(17, vs[i])) << "target " << vs[i];
+  }
+  const auto others = static_cast<std::uint64_t>(
+      std::count_if(vs.begin(), vs.end(), [](NodeId v) { return v != 17; }));
+  EXPECT_EQ(rgg->oracle().stats().exact_answers +
+                rgg->oracle().stats().landmark_answers,
+            2 * others)
+      << "one count per non-source target per query, batched or not";
+  std::vector<Hop> short_out(vs.size() - 1);
+  EXPECT_THROW(topology.distances(17, vs, short_out), std::invalid_argument);
+  const std::vector<NodeId> out_of_range = {500};
+  std::vector<Hop> one(1);
+  EXPECT_THROW(topology.distances(17, out_of_range, one),
+               std::invalid_argument);
+}
+
+TEST(DistanceOracleBatch, ConcurrentBatchedAndPerPairQueriesMatchSerialAnswers) {
+  // Four threads share one sparse oracle with a cache small enough that
+  // they keep evicting each other's rows; every answer must equal the
+  // serial one (answers are history-independent). Run under TSan in CI.
+  const auto rgg = make_rgg_topology(800, 0.06, 17);
+  const CompactGraph& graph = rgg->graph();
+  const std::size_t n = graph.num_vertices();
+  DistanceOracle::Options options;
+  options.dense_threshold = 0;
+  options.distance_ball_budget = 64;
+  options.cache_entry_budget = 256;
+  const DistanceOracle shared(graph, options);
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kListsPerThread = 40;
+  struct Query {
+    NodeId u;
+    std::vector<NodeId> vs;
+    std::vector<Hop> expected;
+  };
+  std::vector<std::vector<Query>> work(kThreads);
+  const DistanceOracle serial(graph, options);
+  Rng rng(1234);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t q = 0; q < kListsPerThread; ++q) {
+      Query query;
+      query.u = static_cast<NodeId>(rng.below(n));
+      query.vs = target_list(n, query.u, 1 + rng.below(400), rng);
+      for (const NodeId v : query.vs) {
+        query.expected.push_back(serial.distance(query.u, v));
+      }
+      work[t].push_back(std::move(query));
+    }
+  }
+
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t q = 0; q < work[t].size(); ++q) {
+        const Query& query = work[t][q];
+        std::vector<Hop> out(query.vs.size());
+        if ((q + t) % 2 == 0) {
+          shared.distances(query.u, query.vs, out);
+        } else {
+          for (std::size_t i = 0; i < query.vs.size(); ++i) {
+            out[i] = shared.distance(query.u, query.vs[i]);
+          }
+        }
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          if (out[i] != query.expected[i]) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
+  EXPECT_GT(shared.stats().rows_evicted, 0u) << "the threads must contend";
 }
 
 }  // namespace

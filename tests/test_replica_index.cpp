@@ -2,8 +2,10 @@
 // algorithms must agree with each other and with brute force (distance and
 // tie count); the lattice kernel's `nearest` must replay the frozen
 // reference dispatch draw for draw; the list-order replica stream must
-// carry the topology's distances on every topology family; and radius streams must match the
-// distance predicate with and without bucket grids.
+// carry the topology's distances on every topology family, including a
+// graph in the sparse oracle regime, whose scans are chunked bulk queries;
+// and radius streams must match the distance predicate with and without
+// bucket grids.
 #include "spatial/replica_index.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include "tier/spec.hpp"
 #include "tier/tier_set.hpp"
 #include "tier/tiered_topology.hpp"
+#include "topology/graph_topology.hpp"
 #include "topology/registry.hpp"
 #include "topology/spec.hpp"
 
@@ -241,6 +244,87 @@ TEST(ReplicaIndex, ForEachReplicaVisitsTheListWithTopologyDistances) {
                       "origin=2)"),
       3));
   expect_distances_match_topology(tiered, tiered.describe());
+}
+
+/// rgg(n=600) in the sparse oracle regime (dense threshold lowered), with
+/// a ball budget small enough that far replicas get landmark estimates.
+std::shared_ptr<const GraphTopology> sparse_rgg() {
+  GraphTopology::Options options;
+  options.dense_threshold = 64;
+  options.distance_ball_budget = 48;
+  return make_rgg_topology(600, 0.07, 5, options);
+}
+
+TEST(ReplicaIndex, SparseRegimeScansMatchThePerPairReference) {
+  const auto topology = sparse_rgg();
+  ASSERT_FALSE(topology->oracle().exact());
+  expect_distances_match_topology(*topology, "sparse rgg");
+
+  // Zipf over many files: a head file longer than one distance chunk and a
+  // tail of files in nearest()'s scan band (|S_j|² <= n).
+  constexpr std::size_t kFiles = 80;
+  Rng placement_rng(23);
+  const Placement placement = Placement::generate(
+      topology->size(), Popularity::zipf(kFiles, 1.2), 3,
+      PlacementMode::ProportionalWithReplacement, placement_rng);
+  const ReplicaIndex index(*topology, placement);
+  const auto n = static_cast<NodeId>(topology->size());
+  ASSERT_GT(placement.replica_count(0), ReplicaIndex::kDistanceChunk);
+
+  std::size_t scan_band = 0;
+  std::size_t landmark_estimates = 0;
+  for (FileId j = 0; j < kFiles; ++j) {
+    const std::size_t replicas = placement.replica_count(j);
+    const bool in_scan_band = replicas > 0 && replicas * replicas <= n;
+    scan_band += in_scan_band ? 1 : 0;
+    for (NodeId u = 0; u < n; u += 37) {
+      const std::string label =
+          "u=" + std::to_string(u) + " j=" + std::to_string(j);
+      std::size_t i = 0;
+      index.for_each_replica(u, j, [&](NodeId v, Hop d) {
+        EXPECT_EQ(v, placement.replicas(j)[i]) << label;
+        EXPECT_EQ(d, topology->distance(u, v)) << label;
+        if (!topology->oracle().certified_distance(u, v)) {
+          ++landmark_estimates;
+        }
+        ++i;
+      });
+      EXPECT_EQ(i, replicas) << label;
+
+      // Radius streams (ball walk inside the horizon, chunked list scan
+      // beyond it) against the per-pair predicate. The ball walk runs its
+      // visitor under the oracle's mutex, so the visitor only records.
+      for (const Hop r : {0u, 2u, 5u, 9u}) {
+        std::vector<std::pair<NodeId, Hop>> streamed;
+        index.for_each_replica_within(u, j, r, [&](NodeId v, Hop d) {
+          streamed.emplace_back(v, d);
+        });
+        std::vector<std::pair<NodeId, Hop>> expected;
+        for (const NodeId v : placement.replicas(j)) {
+          const Hop d = topology->distance(u, v);
+          if (d <= r) expected.emplace_back(v, d);
+        }
+        std::sort(streamed.begin(), streamed.end());
+        std::sort(expected.begin(), expected.end());
+        EXPECT_EQ(streamed, expected) << label << " r=" << r;
+      }
+
+      if (!in_scan_band) continue;
+      // nearest()'s scan band reads the chunked stream; nearest_by_scan
+      // asks pair by pair. Same server, distance, ties and Rng state.
+      Rng fast(u * 131 + j);
+      Rng reference(u * 131 + j);
+      const NearestResult got = index.nearest(u, j, fast);
+      const NearestResult want = index.nearest_by_scan(u, j, reference);
+      EXPECT_EQ(got.server, want.server) << label;
+      EXPECT_EQ(got.distance, want.distance) << label;
+      EXPECT_EQ(got.ties, want.ties) << label;
+      EXPECT_EQ(fast.bits(), reference.bits()) << label;
+    }
+  }
+  EXPECT_GT(scan_band, 10u) << "the placement must exercise the scan band";
+  EXPECT_GT(landmark_estimates, 0u)
+      << "the ball budget must leave far replicas to the landmarks";
 }
 
 TEST(ReplicaIndex, TieBreakingIsUniformAcrossReplicas) {
