@@ -20,18 +20,17 @@ constexpr Hop kMaxStorableHops = kUnreached - 1;
 /// bound (at most 2 · kMaxStorableHops, so never equal to it).
 constexpr Hop kLandmarkPending = kUnboundedRadius;
 
-/// How many targets ahead `distances` prefetches table entries.
+/// How many targets ahead `distances` prefetches landmark table rows.
 constexpr std::size_t kPrefetchAhead = 8;
 
 /// `min_L d(u, L) + d(L, v)` over the k node-major landmark entries of
-/// `u` and `v`, summed in `Sum`. `uint16_t` sums vectorize twice as wide;
-/// they are exact when every entry pair sums below 65535.
-template <typename Sum>
+/// `u` and `v`.
 Hop landmark_bound(const std::uint16_t* ru, const std::uint16_t* rv,
                    std::size_t k) {
-  Sum best = std::numeric_limits<Sum>::max();
+  Hop best = kUnboundedRadius;
   for (std::size_t i = 0; i < k; ++i) {
-    best = std::min(best, static_cast<Sum>(ru[i] + rv[i]));
+    const Hop via = static_cast<Hop>(ru[i]) + static_cast<Hop>(rv[i]);
+    best = std::min(best, via);
   }
   return best;
 }
@@ -157,8 +156,6 @@ void DistanceOracle::build_sparse(const CompactGraph& graph) {
     lower = std::max(lower, eccentricity[i]);
     if (eccentricity[i] < eccentricity[central]) central = i;
   }
-  // No landmark entry exceeds its landmark's eccentricity.
-  narrow_landmark_sums_ = 2 * lower < kUnreached;
   const std::uint16_t* center_row = landmark_dist_.data() + central * n_;
   const Hop center_ecc = eccentricity[central];
 
@@ -220,8 +217,7 @@ Hop DistanceOracle::landmark_upper_bound(NodeId u, NodeId v) const {
   const std::size_t k = landmarks_.size();
   const std::uint16_t* ru = landmark_dist_.data() + std::size_t{u} * k;
   const std::uint16_t* rv = landmark_dist_.data() + std::size_t{v} * k;
-  return narrow_landmark_sums_ ? landmark_bound<std::uint16_t>(ru, rv, k)
-                               : landmark_bound<Hop>(ru, rv, k);
+  return landmark_bound(ru, rv, k);
 }
 
 std::span<const NodeId> DistanceOracle::last_level(const Row& row) {
@@ -461,9 +457,6 @@ void DistanceOracle::distances(NodeId u, std::span<const NodeId> vs,
     Row* row = nullptr;
     for (std::size_t i = 0; i < count; ++i) {
       const NodeId v = vs[i];
-      if (i + kPrefetchAhead < count) {
-        __builtin_prefetch(mark_depth_.data() + vs[i + kPrefetchAhead]);
-      }
       if (v == u) {
         out[i] = 0;
         continue;
@@ -490,22 +483,14 @@ void DistanceOracle::distances(NodeId u, std::span<const NodeId> vs,
   const std::size_t k = landmarks_.size();
   const std::uint16_t* table = landmark_dist_.data();
   const std::uint16_t* ru = table + std::size_t{u} * k;
-  const auto fill = [&](auto sum) {
-    using Sum = decltype(sum);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (i + kPrefetchAhead < count &&
-          out[i + kPrefetchAhead] == kLandmarkPending) {
-        __builtin_prefetch(table + std::size_t{vs[i + kPrefetchAhead]} * k);
-      }
-      if (out[i] == kLandmarkPending) {
-        out[i] = landmark_bound<Sum>(ru, table + std::size_t{vs[i]} * k, k);
-      }
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i + kPrefetchAhead < count &&
+        out[i + kPrefetchAhead] == kLandmarkPending) {
+      __builtin_prefetch(table + std::size_t{vs[i + kPrefetchAhead]} * k);
     }
-  };
-  if (narrow_landmark_sums_) {
-    fill(std::uint16_t{});
-  } else {
-    fill(Hop{});
+    if (out[i] == kLandmarkPending) {
+      out[i] = landmark_bound(ru, table + std::size_t{vs[i]} * k, k);
+    }
   }
 }
 

@@ -228,9 +228,6 @@ class DistanceOracle {
   // construction; transposed at the end of build_sparse.
   std::vector<NodeId> landmarks_;
   std::vector<std::uint16_t> landmark_dist_;
-  /// Every pair of landmark entries sums below 65535 (twice the largest
-  /// landmark eccentricity does), so bounds can be summed in uint16.
-  bool narrow_landmark_sums_ = false;
 
   mutable std::mutex cache_mutex_;
   mutable std::list<NodeId> lru_;  ///< most recent first
