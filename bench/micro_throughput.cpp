@@ -30,13 +30,11 @@
 // way --large-topology merges into `large_topology` — existing rows with
 // other keys, and both sibling blocks, survive byte-for-byte.
 //
-// With `--threads N` (N >= 2) every strategy gets two extra rows — the
-// sharded engine at width N with the serial commit loop, and with the
-// speculative commit path (`commit_mode` serial/speculative) — each with
-// its speedup over the serial row measured in the same process, the
-// engine's per-stage wall times (fill/propose/join/speculate/commit), and
-// the measured speculation hit rate. The JSON records `host_cores` next to
-// every figure: a speedup is only meaningful relative to the cores the host
+// With `--threads N` (N >= 2) every strategy gets an extra row — the
+// sharded engine at width N — with its speedup over the serial row
+// measured in the same process and the engine's per-stage wall times
+// (fill/propose/join/commit). The JSON records `host_cores` next to every
+// figure: a speedup is only meaningful relative to the cores the host
 // actually had (a 1-core container will honestly report ~1x).
 #include <fstream>
 #include <functional>
@@ -55,6 +53,7 @@
 #include "scenario/registry.hpp"
 #include "strategy/registry.hpp"
 #include "tier/registry.hpp"
+#include "topology/graph_topology.hpp"
 #include "util/cli.hpp"
 #include "util/json_slice.hpp"
 #include "util/memory.hpp"
@@ -65,12 +64,15 @@ namespace {
 
 using namespace proxcache;
 
+/// Resident bytes per distance-oracle row-cache entry (a NodeId in a
+/// row's level vector, with vector growth slack).
+constexpr std::uint64_t kRowCacheBytesPerEntry = 2 * sizeof(NodeId);
+
 struct ThroughputRow {
   std::string strategy;
   std::string topology;
   std::size_t num_nodes = 0;
   std::uint32_t threads = 1;
-  std::string commit_mode = "serial";
   std::uint64_t requests = 0;
   double seconds = 0.0;
   double requests_per_sec = 0.0;
@@ -80,15 +82,7 @@ struct ThroughputRow {
   double fill_seconds = 0.0;
   double propose_seconds = 0.0;
   double join_seconds = 0.0;
-  double speculate_seconds = 0.0;
   double commit_seconds = 0.0;
-  // Speculation outcome counters (speculative rows).
-  double spec_hit_rate = 0.0;
-  std::uint64_t spec_hits = 0;
-  std::uint64_t spec_conflicts = 0;
-  std::uint64_t spec_decided = 0;
-  std::uint64_t spec_bypassed = 0;
-  std::uint64_t spec_windows = 0;
   Load max_load = 0;
   double comm_cost = 0.0;
   std::uint64_t peak_rss = 0;  ///< process high-water RSS after this row
@@ -100,7 +94,6 @@ std::string row_json(const ThroughputRow& row) {
      << "\"topology\": \"" << row.topology << "\", "
      << "\"num_nodes\": " << row.num_nodes << ", "
      << "\"threads\": " << row.threads << ", "
-     << "\"commit_mode\": \"" << row.commit_mode << "\", "
      << "\"requests\": " << row.requests << ", "
      << "\"seconds\": " << row.seconds << ", "
      << "\"requests_per_sec\": " << row.requests_per_sec << ", "
@@ -109,14 +102,7 @@ std::string row_json(const ThroughputRow& row) {
      << "\"fill_seconds\": " << row.fill_seconds << ", "
      << "\"propose_seconds\": " << row.propose_seconds << ", "
      << "\"join_seconds\": " << row.join_seconds << ", "
-     << "\"speculate_seconds\": " << row.speculate_seconds << ", "
      << "\"commit_seconds\": " << row.commit_seconds << ", "
-     << "\"spec_hit_rate\": " << row.spec_hit_rate << ", "
-     << "\"spec_hits\": " << row.spec_hits << ", "
-     << "\"spec_conflicts\": " << row.spec_conflicts << ", "
-     << "\"spec_decided\": " << row.spec_decided << ", "
-     << "\"spec_bypassed\": " << row.spec_bypassed << ", "
-     << "\"spec_windows\": " << row.spec_windows << ", "
      << "\"max_load\": " << row.max_load << ", "
      << "\"comm_cost\": " << row.comm_cost << ", "
      << "\"peak_rss_bytes\": " << row.peak_rss << "}";
@@ -124,18 +110,11 @@ std::string row_json(const ThroughputRow& row) {
 }
 
 /// Identity of a row for merge purposes: a regenerated row replaces the
-/// stored row with the same key, other stored rows survive. `commit_mode`
-/// is part of the key so serial-commit and speculative sharded rows track
-/// separately (rows predating the field count as "serial").
+/// stored row with the same key, other stored rows survive.
 std::string row_key(const std::string& row_text) {
   return jsonslice::extract_top_level(row_text, "strategy") + "|" +
          jsonslice::extract_top_level(row_text, "topology") + "|" +
-         jsonslice::extract_top_level(row_text, "threads") + "|" +
-         [&] {
-           const std::string mode =
-               jsonslice::extract_top_level(row_text, "commit_mode");
-           return mode.empty() ? std::string("\"serial\"") : mode;
-         }();
+         jsonslice::extract_top_level(row_text, "threads");
 }
 
 /// One event-engine row (`--dynamic`): a strategy x cache-policy pair on
@@ -303,13 +282,9 @@ int main(int argc, char** argv) {
                "engine width: 1 benches only the serial loop; >= 2 adds "
                "sharded-engine rows per strategy");
   args.add_int("batch", 4096, "sharded engine batch size");
-  args.add_int("spec-window", 32,
-               "speculation window of the sharded commit loop (requests)");
-  args.add_flag("no-speculate",
-                "skip the speculative-commit rows (serial commit only)");
   args.add_flag("large-topology",
                 "write rows into the JSON's large_topology block (merged by "
-                "strategy/topology/threads/commit-mode) instead of "
+                "strategy/topology/threads) instead of "
                 "regenerating 'results'");
   args.add_flag("dynamic",
                 "bench the discrete-event dynamic engine instead of the "
@@ -360,7 +335,7 @@ int main(int argc, char** argv) {
   }
 
   for (const char* name : {"requests", "n", "files", "cache", "threads",
-                           "batch", "spec-window", "runs"}) {
+                           "batch", "runs"}) {
     if (args.get_int(name) <= 0) {
       std::cerr << "--" << name << " must be positive\n";
       return 2;
@@ -369,9 +344,6 @@ int main(int argc, char** argv) {
   const auto requests = static_cast<std::size_t>(args.get_int("requests"));
   const auto threads = static_cast<std::uint32_t>(args.get_int("threads"));
   const auto batch = static_cast<std::size_t>(args.get_int("batch"));
-  const auto spec_window =
-      static_cast<std::size_t>(args.get_int("spec-window"));
-  const bool speculate = !args.get_flag("no-speculate");
   const bool large_topology = args.get_flag("large-topology");
   ExperimentConfig base;
   base.num_nodes = static_cast<std::size_t>(args.get_int("n"));
@@ -654,20 +626,16 @@ int main(int argc, char** argv) {
   }
 
   std::vector<ThroughputRow> rows;
-  Table table({"strategy", "thr", "commit", "req/s", "speedup", "hit%",
-               "fill s", "prop s", "join s", "spec s", "commit s",
-               "max load", "comm cost"});
+  Table table({"strategy", "thr", "req/s", "speedup", "fill s", "prop s",
+               "join s", "commit s", "max load", "comm cost"});
   const auto add_row = [&](const ThroughputRow& row) {
     rows.push_back(row);
     table.add_row({Cell(row.strategy),
                    Cell(static_cast<double>(row.threads), 0),
-                   Cell(row.commit_mode), Cell(row.requests_per_sec, 0),
+                   Cell(row.requests_per_sec, 0),
                    Cell(row.speedup_vs_serial, 2),
-                   Cell(row.spec_hit_rate * 100.0, 1),
                    Cell(row.fill_seconds, 2), Cell(row.propose_seconds, 2),
-                   Cell(row.join_seconds, 2),
-                   Cell(row.speculate_seconds, 2),
-                   Cell(row.commit_seconds, 2),
+                   Cell(row.join_seconds, 2), Cell(row.commit_seconds, 2),
                    Cell(static_cast<double>(row.max_load), 0),
                    Cell(row.comm_cost, 3)});
   };
@@ -697,49 +665,34 @@ int main(int argc, char** argv) {
     add_row(serial);
 
     if (threads < 2) continue;
-    // Two sharded rows per strategy: the plain serial commit loop and the
-    // speculative commit path, bit-identical by construction — the bench
-    // measures the throughput difference the speculation actually buys.
-    for (const bool spec_row : {false, true}) {
-      if (spec_row && !speculate) continue;
-      ShardStats stats;
-      WallTimer sharded_timer;
-      const RunResult sharded_result =
-          ShardedRunner(context, {threads, batch, spec_row, spec_window})
-              .run(0, &stats);
-      ThroughputRow sharded;
-      sharded.strategy = entry;
-      sharded.topology = topology_label;
-      sharded.num_nodes = num_nodes;
-      sharded.threads = threads;
-      sharded.commit_mode = spec_row ? "speculative" : "serial";
-      sharded.requests = requests;
-      sharded.seconds = sharded_timer.seconds();
-      sharded.requests_per_sec =
-          sharded.seconds > 0.0
-              ? static_cast<double>(requests) / sharded.seconds
-              : 0.0;
-      sharded.speedup_vs_serial =
-          serial.requests_per_sec > 0.0
-              ? sharded.requests_per_sec / serial.requests_per_sec
-              : 0.0;
-      sharded.batches = stats.batches;
-      sharded.fill_seconds = stats.fill_seconds;
-      sharded.propose_seconds = stats.propose_seconds;
-      sharded.join_seconds = stats.join_seconds;
-      sharded.speculate_seconds = stats.speculate_seconds;
-      sharded.commit_seconds = stats.commit_seconds;
-      sharded.spec_hit_rate = stats.spec_hit_rate();
-      sharded.spec_hits = stats.spec_hits;
-      sharded.spec_conflicts = stats.spec_conflicts;
-      sharded.spec_decided = stats.spec_decided;
-      sharded.spec_bypassed = stats.spec_bypassed;
-      sharded.spec_windows = stats.spec_windows;
-      sharded.max_load = sharded_result.max_load;
-      sharded.comm_cost = sharded_result.comm_cost;
-      sharded.peak_rss = peak_rss_bytes();
-      add_row(sharded);
-    }
+    ShardStats stats;
+    WallTimer sharded_timer;
+    const RunResult sharded_result =
+        ShardedRunner(context, {threads, batch}).run(0, &stats);
+    ThroughputRow sharded;
+    sharded.strategy = entry;
+    sharded.topology = topology_label;
+    sharded.num_nodes = num_nodes;
+    sharded.threads = threads;
+    sharded.requests = requests;
+    sharded.seconds = sharded_timer.seconds();
+    sharded.requests_per_sec =
+        sharded.seconds > 0.0
+            ? static_cast<double>(requests) / sharded.seconds
+            : 0.0;
+    sharded.speedup_vs_serial =
+        serial.requests_per_sec > 0.0
+            ? sharded.requests_per_sec / serial.requests_per_sec
+            : 0.0;
+    sharded.batches = stats.batches;
+    sharded.fill_seconds = stats.fill_seconds;
+    sharded.propose_seconds = stats.propose_seconds;
+    sharded.join_seconds = stats.join_seconds;
+    sharded.commit_seconds = stats.commit_seconds;
+    sharded.max_load = sharded_result.max_load;
+    sharded.comm_cost = sharded_result.comm_cost;
+    sharded.peak_rss = peak_rss_bytes();
+    add_row(sharded);
   }
   table.print(std::cout);
   std::cout << '\n';
@@ -747,16 +700,28 @@ int main(int argc, char** argv) {
   const std::uint64_t rss_peak = peak_rss_bytes();
   const std::uint64_t rss_growth =
       rss_peak > rss_before ? rss_peak - rss_before : 0;
+  // The sweep's sparse distance oracle (if any) fills its row cache during
+  // the timed runs. The cache is bounded by its entry budget, not by the
+  // trace, so the verdict nets it out of the RSS growth.
+  const auto* graph = dynamic_cast<const GraphTopology*>(&shared.topology());
+  const std::uint64_t row_cache_bytes =
+      graph == nullptr
+          ? 0
+          : graph->oracle().cached_entries() * kRowCacheBytesPerEntry;
+  const std::uint64_t trace_growth =
+      rss_growth > row_cache_bytes ? rss_growth - row_cache_bytes : 0;
   const std::uint64_t materialized_bytes =
       static_cast<std::uint64_t>(requests) * sizeof(Request);
   std::cout << "peak RSS:        " << rss_peak / (1024.0 * 1024.0)
             << " MiB\n"
             << "RSS growth:      " << rss_growth / (1024.0 * 1024.0)
             << " MiB during the timed streaming runs\n"
+            << "row cache:       " << row_cache_bytes / (1024.0 * 1024.0)
+            << " MiB of it in distance-oracle rows\n"
             << "materialized:    " << materialized_bytes / (1024.0 * 1024.0)
             << " MiB a trace vector would have needed per run\n\n";
   bench::print_verdict(
-      rss_growth + (1u << 20) < materialized_bytes,
+      trace_growth + (1u << 20) < materialized_bytes,
       "streaming keeps peak memory independent of trace length");
 
   const std::string json_path = args.get_string("json");
@@ -786,7 +751,6 @@ int main(int argc, char** argv) {
          << "  \"seed\": " << base.seed << ",\n"
          << "  \"threads\": " << threads << ",\n"
          << "  \"shard_batch\": " << batch << ",\n"
-         << "  \"spec_window\": " << spec_window << ",\n"
          << "  \"host_cores\": " << std::thread::hardware_concurrency()
          << ",\n"
          << "  \"peak_rss_bytes\": " << rss_peak << ",\n"

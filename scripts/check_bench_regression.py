@@ -2,8 +2,7 @@
 """Throughput-regression gate over micro_throughput's BENCH_throughput.json.
 
 Compares a freshly produced bench file against the baseline committed at the
-repo root, matching rows on (strategy, threads, commit_mode) — rows predating
-the commit_mode field count as "serial":
+repo root, matching rows on (strategy, threads):
 
   * every baseline row must still exist in the fresh file;
   * no matched row's requests_per_sec may drop by more than --tolerance
@@ -14,12 +13,6 @@ the commit_mode field count as "serial":
     notice) when the fresh host had fewer cores than the engine width,
     because a speedup is physically impossible there; pass --require-cores 0
     to force it anyway;
-  * with --min-spec-hit H, every speculative fresh row of a two-choice
-    strategy must report spec_hit_rate >= H (two-choice is the policy the
-    speculation path is designed around: small uniform candidate sets, so a
-    collapsed hit rate means the engine's snapshot schedule broke, not the
-    workload). Every speculative row must additionally show the speculation
-    machinery engaging at all (hits + conflicts + decided + bypassed > 0);
   * when BOTH files carry a `dynamic` block (event-engine rows produced by
     micro_throughput --dynamic), its rows are matched on
     (strategy, policy, topology): every baseline dynamic row must still
@@ -51,20 +44,16 @@ import argparse
 import json
 import sys
 
-Key = tuple[str, int, str]
+Key = tuple[str, int]
 
 
-def row_key(row: dict) -> tuple[str, int, str]:
-    return (
-        row.get("strategy"),
-        int(row.get("threads", 1)),
-        str(row.get("commit_mode", "serial")),
-    )
+def row_key(row: dict) -> Key:
+    return (row.get("strategy"), int(row.get("threads", 1)))
 
 
 def key_label(key: Key) -> str:
-    strategy, threads, mode = key
-    return f"{strategy} threads={threads} commit={mode}"
+    strategy, threads = key
+    return f"{strategy} threads={threads}"
 
 
 def load_rows(path: str) -> tuple[dict, dict[Key, dict]]:
@@ -276,14 +265,9 @@ def main() -> int:
                         help="skip the --min-speedup check unless the fresh "
                              "host reported at least this many cores "
                              "(default: the fresh file's engine width)")
-    parser.add_argument("--min-spec-hit", type=float, default=None,
-                        help="min spec_hit_rate every speculative two-choice "
-                             "row in the fresh file must reach (default: off)")
     args = parser.parse_args()
     if not 0.0 <= args.tolerance < 1.0:
         parser.error("--tolerance must be in [0, 1)")
-    if args.min_spec_hit is not None and not 0.0 <= args.min_spec_hit <= 1.0:
-        parser.error("--min-spec-hit must be in [0, 1]")
 
     baseline_doc, baseline = load_rows(args.baseline)
     fresh_doc, fresh = load_rows(args.fresh)
@@ -336,33 +320,6 @@ def main() -> int:
                     failures.append(f"{key_label(key)}: sharded speedup "
                                     f"{speedup:.2f}x below floor "
                                     f"{args.min_speedup:.2f}x")
-
-    if args.min_spec_hit is not None:
-        checked = False
-        for key, row in sorted(fresh.items()):
-            if key[2] != "speculative":
-                continue
-            checked = True
-            engaged = sum(int(row.get(field, 0)) for field in
-                          ("spec_hits", "spec_conflicts", "spec_decided",
-                           "spec_bypassed"))
-            if engaged == 0:
-                failures.append(f"{key_label(key)}: speculative row shows "
-                                f"the speculation machinery never engaged")
-                print(f"[FAIL] {key_label(key)}: speculation never engaged")
-                continue
-            if not key[0].startswith("two-choice"):
-                continue
-            hit_rate = float(row.get("spec_hit_rate", 0.0))
-            marker = "FAIL" if hit_rate < args.min_spec_hit else "ok"
-            print(f"[{marker}] {key_label(key)}: spec hit rate "
-                  f"{hit_rate:.1%} (floor {args.min_spec_hit:.0%})")
-            if hit_rate < args.min_spec_hit:
-                failures.append(f"{key_label(key)}: spec hit rate "
-                                f"{hit_rate:.1%} below floor "
-                                f"{args.min_spec_hit:.0%}")
-        if not checked:
-            print("[skip] --min-spec-hit: fresh file has no speculative rows")
 
     check_dynamic(baseline_doc, fresh_doc, args.baseline, args.fresh,
                   args.tolerance, failures)

@@ -24,8 +24,7 @@ SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 
 def result_row(strategy: str, rps: float) -> dict:
-    return {"strategy": strategy, "threads": 1, "commit_mode": "serial",
-            "requests_per_sec": rps}
+    return {"strategy": strategy, "threads": 1, "requests_per_sec": rps}
 
 
 def dynamic_row(strategy: str, policy: str, topology: str,
@@ -84,6 +83,25 @@ class CheckBenchRegressionTest(unittest.TestCase):
         proc = self.run_gate(baseline, fresh)
         self.assertEqual(proc.returncode, 1)
         self.assertIn("req/s dropped", proc.stderr)
+
+    def test_sharded_rows_match_on_strategy_and_threads(self) -> None:
+        sharded = dict(result_row("two-choice", 900.0), threads=4,
+                       speedup_vs_serial=0.9)
+        fresh = bench_doc([result_row("two-choice", 1000.0), sharded])
+        fresh["threads"] = 4
+        fresh["host_cores"] = 4
+        baseline = bench_doc([result_row("two-choice", 1000.0),
+                              dict(sharded, requests_per_sec=1000.0)])
+        proc = self.run_gate(baseline, fresh, "--min-speedup", "0.7")
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertIn("two-choice threads=4: 1,000 -> 900 req/s", proc.stdout)
+        self.assertIn("two-choice threads=4: speedup 0.90x", proc.stdout)
+
+        duplicate = bench_doc([result_row("two-choice", 1000.0),
+                               result_row("two-choice", 1000.0)])
+        proc = self.run_gate(duplicate, fresh)
+        self.assertNotEqual(proc.returncode, 0)
+        self.assertIn("duplicate row ('two-choice', 1)", proc.stderr)
 
     def test_baseline_without_dynamic_block_skips_with_notice(self) -> None:
         # The tolerate-absent contract: a baseline predating the event

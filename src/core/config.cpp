@@ -81,8 +81,6 @@ void ExperimentConfig::validate() const {
                     "threads must be in [1, 1024]");
   PROXCACHE_REQUIRE(shard_batch >= 1 && shard_batch <= (1u << 22),
                     "shard_batch must be in [1, 2^22]");
-  PROXCACHE_REQUIRE(shard_spec_window >= 1 && shard_spec_window <= (1u << 20),
-                    "shard_spec_window must be in [1, 2^20]");
   const StrategySpec strategy = resolved_strategy();
   StrategyRegistry::global().validate(strategy);
   if (StrategyRegistry::global().at(strategy.name).requires_tiers) {
@@ -183,10 +181,7 @@ std::string ExperimentConfig::describe() const {
     os << "trace=" << to_string(trace.kind) << " ";
   }
   os << "strategy=" << resolved_strategy().to_string();
-  if (threads > 1) {
-    os << " threads=" << threads;
-    if (!shard_speculate) os << " commit=serial";
-  }
+  if (threads > 1) os << " threads=" << threads;
   return os.str();
 }
 

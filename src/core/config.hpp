@@ -120,17 +120,6 @@ struct ExperimentConfig {
   /// Pure throughput/memory dial — results are bit-identical across all
   /// values (locked by tests/test_sharded_equivalence.cpp).
   std::size_t shard_batch = 4096;
-  /// Sharded-engine commit mode: speculative choose with validation
-  /// (default) or the plain serial commit loop. Results are bit-identical
-  /// either way — speculations are only accepted when validation proves
-  /// them equal to the serial choice (parallel/sharded_runner.hpp) — so
-  /// this too is purely a throughput dial.
-  bool shard_speculate = true;
-  /// Requests per speculation window of the sharded engine's commit loop.
-  /// Smaller windows validate against fresher snapshots (fewer conflicts);
-  /// larger windows amortize per-window synchronization. Bit-identical
-  /// results across all values.
-  std::uint32_t shard_spec_window = 32;
 
   /// True when the experiment runs the composed multi-tier hierarchy
   /// (tier/tier_set.hpp). Degenerate single-tier specs do not count: they

@@ -29,37 +29,6 @@ class LoadView {
   [[nodiscard]] virtual Load load(NodeId server) const = 0;
 };
 
-/// A view over a plain load vector — the adapter strategies use when the
-/// effective loads live in a raw SoA buffer rather than a LoadTracker
-/// (e.g. the sharded engine's speculation snapshots).
-class VectorLoadView final : public LoadView {
- public:
-  explicit VectorLoadView(const std::vector<Load>& loads) : loads_(&loads) {}
-
-  [[nodiscard]] Load load(NodeId server) const override {
-    return (*loads_)[server];
-  }
-
- private:
-  const std::vector<Load>* loads_;
-};
-
-/// One window's worth of commit-side metric deltas, accumulated by the
-/// sharded engine's commit loop and applied to the tracker in one call per
-/// speculation window (`LoadTracker::apply_window`). The per-request hot
-/// path then touches only the contiguous load vector (`bump`) plus these
-/// plain counters — no virtual LoadView dispatch, no per-request metric
-/// bookkeeping.
-struct CommitWindowDelta {
-  std::uint64_t assigned = 0;   ///< assignments applied via bump()
-  std::uint64_t total_hops = 0; ///< Σ hops over those assignments
-  std::uint64_t dropped = 0;    ///< requests dropped (invalid server)
-  std::uint64_t fallbacks = 0;  ///< fallback paths taken
-  Load max_load = 0;            ///< max post-bump load observed this window
-
-  void clear() { *this = CommitWindowDelta{}; }
-};
-
 /// Mutable per-run load state and metric accumulator.
 class LoadTracker : public LoadView {
  public:
@@ -67,30 +36,6 @@ class LoadTracker : public LoadView {
 
   /// Record an assignment of one request to `server` at `hops` distance.
   void assign(NodeId server, Hop hops);
-
-  /// Batched commit path (sharded engine): increment `server`'s load and
-  /// nothing else. The caller owns the metric accounting in a
-  /// CommitWindowDelta and settles it with `apply_window` once per window.
-  /// Returns the post-increment load so the caller can fold its window max
-  /// without a second read.
-  Load bump(NodeId server) { return ++loads_[server]; }
-
-  /// Settle one window's accumulated metrics. Loads themselves were already
-  /// applied eagerly through `bump` (so LoadView reads and StaleLoadView
-  /// refreshes stay exact mid-window); this folds in the counters and the
-  /// window max.
-  void apply_window(const CommitWindowDelta& delta) {
-    assigned_ += delta.assigned;
-    total_hops_ += delta.total_hops;
-    dropped_ += delta.dropped;
-    fallbacks_ += delta.fallbacks;
-    if (delta.max_load > max_load_) max_load_ = delta.max_load;
-  }
-
-  /// Raw contiguous view of the per-server loads (the SoA read path of the
-  /// sharded commit loop: speculation validation compares against this
-  /// array directly instead of going through the virtual `load`).
-  [[nodiscard]] const Load* data() const { return loads_.data(); }
 
   /// Record a dropped request (Drop policies); counted but not assigned.
   void drop() { ++dropped_; }

@@ -26,11 +26,6 @@ class NearestReplicaStrategy final : public SplitPhaseStrategy {
 
   [[nodiscard]] std::string name() const override { return "nearest-replica"; }
 
-  /// Load-oblivious: `choose` reads no loads at all (decided proposals).
-  [[nodiscard]] bool choose_reads_candidates_only() const override {
-    return true;
-  }
-
  private:
   const ReplicaIndex* index_;
 };

@@ -72,9 +72,7 @@ RunResult SimulationContext::run(std::uint64_t run_index) const {
   // parallel/sharded_runner.hpp). `threads == 1` stays the historical
   // serial loop below, bit-identical to every result ever produced by it.
   if (config_.threads >= 2) {
-    return ShardedRunner(*this,
-                         {config_.threads, config_.shard_batch,
-                          config_.shard_speculate, config_.shard_spec_window})
+    return ShardedRunner(*this, {config_.threads, config_.shard_batch})
         .run(run_index);
   }
 

@@ -104,18 +104,6 @@ class Strategy {
   /// executed on the serial commit path — still correct, just not sped up.
   [[nodiscard]] virtual bool split_phase() const { return false; }
 
-  /// The speculative-choose seam: true when `choose` reads *only* the loads
-  /// of the candidates recorded in its proposal window (never some other
-  /// node's load). That property is what lets the sharded engine run
-  /// `choose` speculatively off-thread against a per-candidate load
-  /// snapshot and accept the result once the committer proves those loads
-  /// did not change (see parallel/sharded_runner.hpp). All four built-ins
-  /// qualify; the conservative default keeps out-of-tree strategies on the
-  /// non-speculative commit path unless they opt in.
-  [[nodiscard]] virtual bool choose_reads_candidates_only() const {
-    return false;
-  }
-
   /// Load-independent half: discover candidates (appending them to
   /// `arena`), run fallback handling, and perform every RNG draw whose
   /// count does not depend on loads. May mutate strategy-local scratch, so
@@ -130,10 +118,9 @@ class Strategy {
   }
 
   /// Load-dependent half: finish `proposal` against live `loads`,
-  /// continuing on the *same* Rng stream `propose` left off. Must be
-  /// callable concurrently with `propose` on *other* instances — and with
-  /// other `choose` calls on *this* instance (the speculation chase task
-  /// and the committer overlap on the shared commit-side strategy) — hence
+  /// continuing on the *same* Rng stream `propose` left off. The sharded
+  /// engine calls it only from the commit thread, one request at a time in
+  /// request order, while `propose` runs on *other* instances — hence
   /// const: it may not touch strategy-local scratch (the arena window is
   /// its scratch — it may mutate that in place).
   [[nodiscard]] virtual Assignment choose(const Request& request,

@@ -51,11 +51,6 @@ class TwoChoiceStrategy final : public SplitPhaseStrategy {
 
   [[nodiscard]] std::string name() const override;
 
-  /// `choose` is the d-way min-load scan over the recorded window only.
-  [[nodiscard]] bool choose_reads_candidates_only() const override {
-    return true;
-  }
-
   /// Observer invoked with the full candidate set of every request that
   /// sampled >= 2 candidates (before the load comparison). Used by the
   /// Lemma 3(b) instrumentation; pass nullptr to disable.

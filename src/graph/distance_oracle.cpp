@@ -24,16 +24,37 @@ constexpr Hop kLandmarkPending = kUnboundedRadius;
 constexpr std::size_t kPrefetchAhead = 8;
 
 /// `min_L d(u, L) + d(L, v)` over the k node-major landmark entries of
-/// `u` and `v`.
+/// `u` and `v`, clamped to `diameter` — itself an upper bound on every
+/// distance, so the clamp keeps the bound valid and keeps every answer
+/// within the `diameter()` contract.
 Hop landmark_bound(const std::uint16_t* ru, const std::uint16_t* rv,
-                   std::size_t k) {
-  Hop best = kUnboundedRadius;
+                   std::size_t k, Hop diameter) {
+  Hop best = diameter;
   for (std::size_t i = 0; i < k; ++i) {
     const Hop via = static_cast<Hop>(ru[i]) + static_cast<Hop>(rv[i]);
     best = std::min(best, via);
   }
   return best;
 }
+
+/// The oracle whose `visit_shell` visitor is running on this thread, if
+/// any. Visitors run under the cache mutex, so a query back into the same
+/// oracle would self-deadlock; the locking entry points check this first.
+thread_local const DistanceOracle* t_visiting = nullptr;
+
+/// Marks this thread as running `oracle`'s visitor for its lifetime.
+class VisitorScope {
+ public:
+  explicit VisitorScope(const DistanceOracle* oracle) : previous_(t_visiting) {
+    t_visiting = oracle;
+  }
+  ~VisitorScope() { t_visiting = previous_; }
+  VisitorScope(const VisitorScope&) = delete;
+  VisitorScope& operator=(const VisitorScope&) = delete;
+
+ private:
+  const DistanceOracle* previous_;
+};
 
 [[noreturn]] void throw_depth_overflow(NodeId source) {
   throw std::invalid_argument(
@@ -217,7 +238,15 @@ Hop DistanceOracle::landmark_upper_bound(NodeId u, NodeId v) const {
   const std::size_t k = landmarks_.size();
   const std::uint16_t* ru = landmark_dist_.data() + std::size_t{u} * k;
   const std::uint16_t* rv = landmark_dist_.data() + std::size_t{v} * k;
-  return landmark_bound(ru, rv, k);
+  return landmark_bound(ru, rv, k, diameter_);
+}
+
+std::lock_guard<std::mutex> DistanceOracle::lock_cache() const {
+  PROXCACHE_CHECK(t_visiting != this,
+                  "a visit_shell visitor re-entered its distance oracle; "
+                  "visitors run under the oracle's cache mutex and must not "
+                  "query the oracle or the topology that owns it");
+  return std::lock_guard<std::mutex>(cache_mutex_);
 }
 
 std::span<const NodeId> DistanceOracle::last_level(const Row& row) {
@@ -395,7 +424,7 @@ void DistanceOracle::ensure_budget_depth(Row& row, NodeId source) const {
 Hop DistanceOracle::budget_ball_depth(NodeId u) const {
   PROXCACHE_REQUIRE(u < n_, "node id out of range");
   if (dense_) return diameter_;
-  std::lock_guard<std::mutex> lock(cache_mutex_);
+  std::lock_guard<std::mutex> lock = lock_cache();
   Row& row = row_for(u);
   ensure_budget_depth(row, u);
   return row.budget_depth;
@@ -423,7 +452,7 @@ Hop DistanceOracle::distance(NodeId u, NodeId v) const {
   if (dense_) return dense_distance(u, v);
   if (u == v) return 0;
   {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
+    std::lock_guard<std::mutex> lock = lock_cache();
     Row& row = row_for(u);
     bind_marks(row, u);
     const std::uint16_t d = depth_in_budget_ball(row, u, v);
@@ -453,7 +482,7 @@ void DistanceOracle::distances(NodeId u, std::span<const NodeId> vs,
   // the per-pair loop would first touch it.
   bool pending = false;
   {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
+    std::lock_guard<std::mutex> lock = lock_cache();
     Row* row = nullptr;
     for (std::size_t i = 0; i < count; ++i) {
       const NodeId v = vs[i];
@@ -489,7 +518,8 @@ void DistanceOracle::distances(NodeId u, std::span<const NodeId> vs,
       __builtin_prefetch(table + std::size_t{vs[i + kPrefetchAhead]} * k);
     }
     if (out[i] == kLandmarkPending) {
-      out[i] = landmark_bound(ru, table + std::size_t{vs[i]} * k, k);
+      out[i] = landmark_bound(ru, table + std::size_t{vs[i]} * k, k,
+                              diameter_);
     }
   }
 }
@@ -499,7 +529,7 @@ std::optional<Hop> DistanceOracle::certified_distance(NodeId u,
   PROXCACHE_REQUIRE(u < n_ && v < n_, "node id out of range");
   if (dense_) return dense_distance(u, v);
   if (u == v) return 0;
-  std::lock_guard<std::mutex> lock(cache_mutex_);
+  std::lock_guard<std::mutex> lock = lock_cache();
   Row& row = row_for(u);
   bind_marks(row, u);
   const std::uint16_t d = depth_in_budget_ball(row, u, v);
@@ -518,7 +548,8 @@ void DistanceOracle::visit_shell(NodeId u, Hop d, OracleNodeVisitor fn) const {
     }
     return;
   }
-  std::lock_guard<std::mutex> lock(cache_mutex_);
+  std::lock_guard<std::mutex> lock = lock_cache();
+  const VisitorScope scope(this);
   Row& row = row_for(u);
   ensure_depth(row, u, d);
   if (d < row.level_end.size()) {
@@ -546,7 +577,7 @@ std::size_t DistanceOracle::shell_size(NodeId u, Hop d) const {
     }
     return count;
   }
-  std::lock_guard<std::mutex> lock(cache_mutex_);
+  std::lock_guard<std::mutex> lock = lock_cache();
   Row& row = row_for(u);
   ensure_depth(row, u, d);
   if (d < row.level_end.size()) {
@@ -571,7 +602,7 @@ std::size_t DistanceOracle::ball_size(NodeId u, Hop r) const {
     }
     return count;
   }
-  std::lock_guard<std::mutex> lock(cache_mutex_);
+  std::lock_guard<std::mutex> lock = lock_cache();
   Row& row = row_for(u);
   ensure_depth(row, u, r);
   const std::size_t top = std::min<std::size_t>(r, row.level_end.size() - 1);
@@ -587,12 +618,12 @@ std::size_t DistanceOracle::ball_size(NodeId u, Hop r) const {
 }
 
 std::size_t DistanceOracle::cached_entries() const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
+  std::lock_guard<std::mutex> lock = lock_cache();
   return cached_entries_;
 }
 
 DistanceOracle::Stats DistanceOracle::stats() const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
+  std::lock_guard<std::mutex> lock = lock_cache();
   return stats_;
 }
 

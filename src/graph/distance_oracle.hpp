@@ -53,7 +53,8 @@
 /// Thread safety: all queries are safe from multiple threads. Sparse-mode
 /// queries serialize on one internal mutex (the row cache mutates); the
 /// dense regime is lock-free. Visitor callbacks run under that mutex and
-/// must not re-enter the oracle.
+/// must not re-enter the oracle: a sparse-mode query from inside a
+/// visitor throws std::logic_error instead of deadlocking.
 
 #include <cstdint>
 #include <list>
@@ -185,6 +186,10 @@ class DistanceOracle {
 
   /// The deepest stored level of `row` — the frontier its BFS grows from.
   [[nodiscard]] static std::span<const NodeId> last_level(const Row& row);
+
+  /// Locks `cache_mutex_` after checking that this thread is not inside
+  /// one of this oracle's `visit_shell` visitors (re-entry would deadlock).
+  [[nodiscard]] std::lock_guard<std::mutex> lock_cache() const;
 
   // Sparse-regime internals; all require cache_mutex_ held.
   Row& row_for(NodeId u) const;

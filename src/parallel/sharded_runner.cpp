@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <exception>
-#include <thread>
 
 #include "core/run_harness.hpp"
 #include "random/seeding.hpp"
@@ -21,103 +19,27 @@ namespace {
 /// submit/future overhead against ~100ns-per-request propose work.
 constexpr std::size_t kChunkRequests = 512;
 
-/// Speculation candidate cap: requests whose window is wider than this are
-/// chosen serially (`ShardStats::spec_bypassed`). Snapshotting + validating
-/// a wide window (least-loaded at radius 8 records ~145 candidates) costs
-/// more than the choose it replaces, and a wide window almost surely
-/// conflicts. 16 covers every sampling strategy (d <= 8) plus typical
-/// replication factors.
-constexpr std::uint32_t kSpecMaxCandidates = 16;
-
-/// Speculation-window lifecycle, advanced monotonically through
-/// `BatchBuffer::win_state`. The committer moves kSnapPending -> kSnapReady
-/// (snapshot published); the chase task or the committer claims
-/// kSnapReady -> kClaimed and finishes kClaimed -> kDone.
-constexpr std::uint32_t kSnapPending = 0;
-constexpr std::uint32_t kSnapReady = 1;
-constexpr std::uint32_t kClaimed = 2;
-constexpr std::uint32_t kDone = 3;
-
 /// One request in flight: its proposal plus the post-propose state of its
 /// pinned Rng stream (the Rng is 40 bytes — cheap to park in the slot so
-/// `choose` can resume the exact stream `propose` left off), plus the
-/// speculation result handed from the chase task to the committer.
+/// `choose` can resume the exact stream `propose` left off).
 struct Slot {
   Request request;
   Proposal proposal;
   Rng rng{0};
-  Assignment spec_assignment;
-  /// True once a speculative choose wrote `spec_assignment`. Stays false
-  /// when the chase died mid-window (the committer then re-chooses
-  /// serially; the chase's exception surfaces at join).
-  bool spec_ok = false;
 };
 
 /// One half of the double buffer: the slots of a batch, a private arena per
 /// chunk, and the in-flight futures. Workers touch only their own chunk's
-/// slot range and arena; the speculation fields follow the window-state
-/// handover protocol.
+/// slot range and arena.
 struct BatchBuffer {
   std::vector<Slot> slots;
   std::size_t count = 0;    ///< admitted requests in this batch
   std::uint64_t base = 0;   ///< ordinal of slots[0] in the admitted stream
   std::vector<CandidateArena> arenas;
-  /// Per-chunk snapshot loads, indexed exactly like the chunk's arena:
-  /// `snaps[chunk][proposal.first + i]` is the effective load of candidate
-  /// i as of this request's snapshot point.
-  std::vector<std::vector<Load>> snaps;
   std::vector<std::future<void>> futures;
   /// Propose wall time per chunk, written by the propose task and folded
   /// into ShardStats after its future is joined.
   std::vector<double> chunk_seconds;
-  /// Per-window lifecycle states (kSnapPending..kDone); length is the
-  /// maximum window count, reset per batch before the chase is dispatched.
-  std::unique_ptr<std::atomic<std::uint32_t>[]> win_state;
-  std::size_t win_count = 0;  ///< windows in the current batch
-  /// Chase-side speculate wall time, one slot per chase task (the window
-  /// state machine admits any number of claimants; two are submitted when
-  /// the pool has the workers to run them concurrently).
-  double chase_seconds[2] = {0.0, 0.0};
-};
-
-/// LoadView over one request's candidate window mapped to its snapshot
-/// loads: `load(v)` answers with the snapshot value recorded for candidate
-/// v. Strategies that declare `choose_reads_candidates_only()` query only
-/// window members, so a linear scan suffices — and because their scans walk
-/// the window roughly in order, the rotating cursor makes the common case
-/// O(1) per read. A query for a non-member means the strategy lied about
-/// the contract; failing loud beats silently wrong speculation.
-class WindowSnapshotView final : public LoadView {
- public:
-  void bind(const ProposedCandidate* candidates, const Load* snaps,
-            std::uint32_t count) {
-    candidates_ = candidates;
-    snaps_ = snaps;
-    count_ = count;
-    cursor_ = 0;
-  }
-
-  [[nodiscard]] Load load(NodeId server) const override {
-    for (std::uint32_t step = 0; step < count_; ++step) {
-      std::uint32_t i = cursor_ + step;
-      if (i >= count_) i -= count_;
-      if (candidates_[i].node == server) {
-        cursor_ = i + 1 == count_ ? 0 : i + 1;
-        return snaps_[i];
-      }
-    }
-    PROXCACHE_CHECK(false,
-                    "speculative choose read a load outside its candidate "
-                    "window; the strategy's choose_reads_candidates_only() "
-                    "claim is wrong");
-    return 0;
-  }
-
- private:
-  const ProposedCandidate* candidates_ = nullptr;
-  const Load* snaps_ = nullptr;
-  std::uint32_t count_ = 0;
-  mutable std::uint32_t cursor_ = 0;
 };
 
 }  // namespace
@@ -128,9 +50,6 @@ ShardedRunner::ShardedRunner(const SimulationContext& context,
   PROXCACHE_REQUIRE(options.threads >= 1 && options.threads <= 1024,
                     "sharded engine threads must be in [1, 1024]");
   PROXCACHE_REQUIRE(options.batch >= 1, "shard batch must be >= 1");
-  PROXCACHE_REQUIRE(options.spec_window >= 1 &&
-                        options.spec_window <= (1u << 20),
-                    "speculation window must be in [1, 2^20]");
   if (options_.threads >= 2) {
     pool_ = std::make_unique<ThreadPool>(options_.threads - 1);
   }
@@ -142,36 +61,21 @@ RunResult ShardedRunner::run(std::uint64_t run_index,
   const ExperimentConfig& config = context_->config();
   const std::uint64_t seed = config.seed;
   const bool split = harness.strategy->split_phase();
-  // Speculation is an implementation detail of the commit loop: it engages
-  // only when the strategy certifies that choose reads nothing but its own
-  // candidates' loads, and it never changes a result either way.
-  const bool speculative = split && options_.speculate &&
-                           harness.strategy->choose_reads_candidates_only();
   const std::size_t batch = options_.batch;
-  const std::size_t window = options_.spec_window;
   const std::size_t chunks = (batch + kChunkRequests - 1) / kChunkRequests;
-  const std::size_t max_windows = (batch + window - 1) / window;
 
   std::array<BatchBuffer, 2> buffers;
   for (BatchBuffer& buffer : buffers) {
     buffer.slots.resize(batch);
     buffer.arenas.resize(split ? chunks : 0);
-    buffer.snaps.resize(speculative ? chunks : 0);
     buffer.futures.reserve(chunks);
     buffer.chunk_seconds.assign(split ? chunks : 0, 0.0);
-    if (speculative) {
-      buffer.win_state.reset(new std::atomic<std::uint32_t>[max_windows]);
-      for (std::size_t w = 0; w < max_windows; ++w) {
-        buffer.win_state[w].store(kSnapPending, std::memory_order_relaxed);
-      }
-    }
   }
 
   // Lane-private strategy instances: `propose` may mutate strategy-local
   // scratch, so every chunk slot of every buffer gets its own instance from
   // the registry factory. `harness.strategy` stays the commit thread's
-  // instance (`choose` is const and safe alongside in-flight proposes and
-  // concurrent speculative chooses).
+  // instance (`choose` is const and safe alongside in-flight proposes).
   std::vector<std::unique_ptr<Strategy>> lanes;
   if (split) {
     const StrategyRegistry& registry = StrategyRegistry::global();
@@ -189,14 +93,6 @@ RunResult ShardedRunner::run(std::uint64_t run_index,
   }
 
   std::uint64_t next_ordinal = 0;
-  // Mirrors tracker.assigned() exactly, but stays current *within* a
-  // speculation window where the tracker's counter is settled only at
-  // window end (apply_window) — the stale view's refresh cadence needs the
-  // per-assignment value.
-  std::uint64_t committed_total = 0;
-  // Raised when the committer unwinds so the chase task never spins on a
-  // snapshot that will no longer be published.
-  std::atomic<bool> abort{false};
   // The constant (run, phase) prefix of every pinned stream, hashed once;
   // fill() then derives each request's stream in two mixes.
   const std::uint64_t strategy_prefix =
@@ -234,7 +130,6 @@ RunResult ShardedRunner::run(std::uint64_t run_index,
     for (std::size_t j = begin; j < end; ++j) {
       Slot& slot = buffer.slots[j];
       slot.proposal = Proposal{};
-      slot.spec_ok = false;
       lane.propose(slot.request, slot.rng, arena, slot.proposal);
     }
     buffer.chunk_seconds[chunk] = timer.seconds();
@@ -281,276 +176,30 @@ RunResult ShardedRunner::run(std::uint64_t run_index,
     }
   };
 
-  /// True when the slot's choose is worth speculating: load-dependent and
-  /// within the candidate cap. Pure function of the proposal, so the chase
-  /// and the committer agree without coordination.
-  auto speculable = [](const Proposal& proposal) {
-    return !proposal.decided && proposal.count <= kSpecMaxCandidates;
-  };
-
-  // Record, for every candidate of every speculable request in window `w`,
-  // the load the strategy's effective view currently reports — the exact
-  // array `choose` would read. Publishing the window's kSnapReady state
-  // with release order hands the snapshot to whoever claims the window.
-  auto publish_snapshot = [&](BatchBuffer& buffer, std::size_t w) {
-    if (w >= buffer.win_count) return;
-    const Load* effective =
-        harness.stale ? harness.stale->data() : harness.tracker.data();
-    const std::size_t begin = w * window;
-    const std::size_t end = std::min(begin + window, buffer.count);
-    for (std::size_t j = begin; j < end; ++j) {
-      const Proposal& proposal = buffer.slots[j].proposal;
-      if (!speculable(proposal)) continue;
-      const std::size_t chunk = j / kChunkRequests;
-      const ProposedCandidate* candidates =
-          buffer.arenas[chunk].data() + proposal.first;
-      Load* snaps = buffer.snaps[chunk].data() + proposal.first;
-      for (std::uint32_t i = 0; i < proposal.count; ++i) {
-        snaps[i] = effective[candidates[i].node];
-      }
-    }
-    buffer.win_state[w].store(kSnapReady, std::memory_order_release);
-  };
-
-  // Execute the speculative chooses of one claimed window: for each
-  // speculable slot, run choose against the snapshot through the adapter
-  // view, on a copy of the pinned stream and a scratch copy of the
-  // candidate window (prox-weighted zeroes winner weights in place — the
-  // authoritative window must stay pristine for a conflict re-choose).
-  auto run_window = [&](BatchBuffer& buffer, std::size_t w,
-                        CandidateArena& scratch, WindowSnapshotView& view,
-                        double& seconds) {
-    WallTimer timer;
-    const std::size_t begin = w * window;
-    const std::size_t end = std::min(begin + window, buffer.count);
-    for (std::size_t j = begin; j < end; ++j) {
-      Slot& slot = buffer.slots[j];
-      const Proposal& proposal = slot.proposal;
-      if (!speculable(proposal)) continue;
-      const std::size_t chunk = j / kChunkRequests;
-      const CandidateArena& arena = buffer.arenas[chunk];
-      scratch.assign(arena.begin() + proposal.first,
-                     arena.begin() + proposal.first + proposal.count);
-      view.bind(scratch.data(),
-                buffer.snaps[chunk].data() + proposal.first, proposal.count);
-      Proposal local = proposal;
-      local.first = 0;
-      Rng rng = slot.rng;
-      slot.spec_assignment = harness.strategy->choose(slot.request, local,
-                                                      scratch, view, rng);
-      slot.spec_ok = true;
-    }
-    seconds += timer.seconds();
-  };
-
-  // The chase tasks: long-lived pool tasks per batch that claim windows
-  // in schedule order as their snapshots appear. Claiming is a CAS, so
-  // chase tasks and the help-stealing committer (which at threads = 1 runs
-  // the whole schedule inline) compete freely without double execution —
-  // a loser simply moves to the next window. `task` selects the private
-  // wall-time slot; determinism is unaffected by who wins a claim because
-  // every claimant computes the same value-validated speculation.
-  auto chase_batch = [&](BatchBuffer& buffer, std::size_t task) {
-    CandidateArena scratch;
-    WindowSnapshotView view;
-    buffer.chase_seconds[task] = 0.0;
-    for (std::size_t w = 0; w < buffer.win_count; ++w) {
-      std::atomic<std::uint32_t>& state = buffer.win_state[w];
-      std::uint32_t seen = state.load(std::memory_order_acquire);
-      while (seen == kSnapPending) {
-        if (abort.load(std::memory_order_acquire)) return;
-        std::this_thread::yield();
-        seen = state.load(std::memory_order_acquire);
-      }
-      if (seen != kSnapReady ||
-          !state.compare_exchange_strong(seen, kClaimed,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-        continue;  // the committer already claimed or finished it
-      }
-      try {
-        run_window(buffer, w, scratch, view, buffer.chase_seconds[task]);
-      } catch (...) {
-        // Unblock the committer (slots not reached keep spec_ok = false
-        // and are re-chosen serially), then let the future carry the error.
-        state.store(kDone, std::memory_order_release);
-        throw;
-      }
-      state.store(kDone, std::memory_order_release);
-    }
-  };
-
   // Serial committer: request order, effective loads — the exact tail of
-  // the serial loop. In speculative mode the per-window protocol is:
-  // wait-or-help until the window's speculation is done, validate each
-  // speculation against the loads the serial choose would read, accept on
-  // equality or re-choose on the untouched post-propose stream, and settle
-  // the window's metrics in one apply_window call.
+  // the serial loop. Split strategies resume each pinned stream for choose;
+  // non-split strategies run whole on the commit thread on the same
+  // pre-derived stream — deterministic, just not sped up.
   auto commit = [&](BatchBuffer& buffer) {
     WallTimer timer;
-    std::uint64_t hits = 0;
-    std::uint64_t conflicts = 0;
-    std::uint64_t decided = 0;
-    std::uint64_t bypassed = 0;
-    double helper_seconds = 0.0;
-    if (speculative && buffer.count > 0) {
-      buffer.win_count = (buffer.count + window - 1) / window;
-      for (std::size_t w = 0; w < buffer.win_count; ++w) {
-        buffer.win_state[w].store(kSnapPending, std::memory_order_relaxed);
+    for (std::size_t j = 0; j < buffer.count; ++j) {
+      Slot& slot = buffer.slots[j];
+      Assignment assignment;
+      if (split) {
+        assignment = harness.strategy->choose(
+            slot.request, slot.proposal, buffer.arenas[j / kChunkRequests],
+            *harness.load_view, slot.rng);
+      } else {
+        assignment =
+            harness.strategy->assign(slot.request, *harness.load_view,
+                                     slot.rng);
       }
-      for (std::size_t chunk = 0; chunk < buffer.snaps.size(); ++chunk) {
-        buffer.snaps[chunk].resize(buffer.arenas[chunk].size());
-      }
-      publish_snapshot(buffer, 0);
-      publish_snapshot(buffer, 1);
-      std::array<std::future<void>, 2> chases;
-      if (pool_) {
-        chases[0] =
-            pool_->submit([&buffer, &chase_batch] { chase_batch(buffer, 0); });
-        // A second chaser pays off only when the pool has a worker for it
-        // beyond the first (threads - 1 pool workers); otherwise it would
-        // just queue behind the first and find every window claimed.
-        if (options_.threads >= 3) {
-          chases[1] = pool_->submit(
-              [&buffer, &chase_batch] { chase_batch(buffer, 1); });
-        }
-      }
-      try {
-        CandidateArena helper_scratch;
-        WindowSnapshotView helper_view;
-        CommitWindowDelta delta;
-        for (std::size_t w = 0; w < buffer.win_count; ++w) {
-          std::atomic<std::uint32_t>& state = buffer.win_state[w];
-          for (;;) {
-            std::uint32_t seen = state.load(std::memory_order_acquire);
-            if (seen == kDone) break;
-            if (seen == kSnapReady &&
-                state.compare_exchange_strong(seen, kClaimed,
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_acquire)) {
-              run_window(buffer, w, helper_scratch, helper_view,
-                         helper_seconds);
-              state.store(kDone, std::memory_order_release);
-              break;
-            }
-            std::this_thread::yield();  // chase mid-window: let it finish
-          }
-
-          delta.clear();
-          const std::size_t begin = w * window;
-          const std::size_t end = std::min(begin + window, buffer.count);
-          for (std::size_t j = begin; j < end; ++j) {
-            Slot& slot = buffer.slots[j];
-            const Proposal& proposal = slot.proposal;
-            Assignment assignment;
-            if (proposal.decided) {
-              assignment = decided_assignment(proposal);
-              ++decided;
-            } else if (!speculable(proposal)) {
-              const std::size_t chunk = j / kChunkRequests;
-              assignment = harness.strategy->choose(
-                  slot.request, proposal, buffer.arenas[chunk],
-                  *harness.load_view, slot.rng);
-              ++bypassed;
-            } else {
-              // Validate: the speculation holds iff no candidate's
-              // effective load moved since the snapshot. Loads are
-              // monotone counters, so value equality is an exact
-              // changed-since test — an accepted speculation read the
-              // very loads the serial choose would read now.
-              const Load* effective = harness.stale
-                                          ? harness.stale->data()
-                                          : harness.tracker.data();
-              const std::size_t chunk = j / kChunkRequests;
-              const ProposedCandidate* candidates =
-                  buffer.arenas[chunk].data() + proposal.first;
-              const Load* snaps =
-                  buffer.snaps[chunk].data() + proposal.first;
-              bool valid = slot.spec_ok;
-              if (valid) {
-                for (std::uint32_t i = 0; i < proposal.count; ++i) {
-                  if (effective[candidates[i].node] != snaps[i]) {
-                    valid = false;
-                    break;
-                  }
-                }
-              }
-              if (valid) {
-                assignment = slot.spec_assignment;
-                ++hits;
-              } else {
-                assignment = harness.strategy->choose(
-                    slot.request, proposal, buffer.arenas[chunk],
-                    *harness.load_view, slot.rng);
-                ++conflicts;
-              }
-            }
-
-            // Batched commit tail: same effects as RunHarness::commit, with
-            // the counter bookkeeping folded into the window delta. Loads
-            // themselves bump eagerly so LoadView reads and stale refreshes
-            // stay exact mid-window.
-            if (assignment.fallback) ++delta.fallbacks;
-            if (assignment.server == kInvalidNode) {
-              ++delta.dropped;
-            } else {
-              const Load post = harness.tracker.bump(assignment.server);
-              if (post > delta.max_load) delta.max_load = post;
-              ++delta.assigned;
-              delta.total_hops += assignment.hops;
-              ++committed_total;
-              if (harness.stale) harness.stale->on_assignment(committed_total);
-            }
-          }
-          harness.tracker.apply_window(delta);
-          publish_snapshot(buffer, w + 2);
-        }
-        for (std::future<void>& chase : chases) {
-          if (chase.valid()) chase.get();
-        }
-      } catch (...) {
-        abort.store(true, std::memory_order_release);
-        for (std::future<void>& chase : chases) {
-          if (!chase.valid()) continue;
-          try {
-            chase.get();
-          } catch (...) {  // NOLINT(bugprone-empty-catch) first error wins
-          }
-        }
-        throw;
-      }
-    } else {
-      // Plain serial commit: split strategies resume each pinned stream for
-      // choose; non-split strategies run whole on the commit thread on the
-      // same pre-derived stream — deterministic, just not sped up.
-      for (std::size_t j = 0; j < buffer.count; ++j) {
-        Slot& slot = buffer.slots[j];
-        Assignment assignment;
-        if (split) {
-          assignment = harness.strategy->choose(
-              slot.request, slot.proposal, buffer.arenas[j / kChunkRequests],
-              *harness.load_view, slot.rng);
-        } else {
-          assignment = harness.strategy->assign(slot.request,
-                                                *harness.load_view, slot.rng);
-        }
-        harness.commit(assignment);
-      }
+      harness.commit(assignment);
     }
     if (stats) {
       ++stats->batches;
       stats->requests += buffer.count;
       stats->commit_seconds += timer.seconds();
-      if (speculative && buffer.count > 0) {
-        stats->spec_windows += buffer.win_count;
-        stats->spec_attempted += hits + conflicts;
-        stats->spec_hits += hits;
-        stats->spec_conflicts += conflicts;
-        stats->spec_decided += decided;
-        stats->spec_bypassed += bypassed;
-        stats->speculate_seconds += helper_seconds + buffer.chase_seconds[0] +
-                                    buffer.chase_seconds[1];
-      }
       if (split) {
         if (pool_) stats->proposed_off_thread += buffer.count;
         const std::size_t used =
@@ -567,7 +216,6 @@ RunResult ShardedRunner::run(std::uint64_t run_index,
   // Tasks capture the stack-local buffers: never unwind past them with
   // futures in flight.
   auto drain_all = [&]() noexcept {
-    abort.store(true, std::memory_order_release);
     for (BatchBuffer& buffer : buffers) {
       for (std::future<void>& future : buffer.futures) {
         try {

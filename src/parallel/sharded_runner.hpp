@@ -29,11 +29,9 @@
 ///      streams)
 ///     fill batch B+1 (overlapped)
 ///     join B ◀────────────────        …
-///     commit B (windowed,      ──▶    speculation chase task:
-///      speculative: validate +         choose() window w against the
-///      batched load-delta apply;       committer's two-windows-ahead
-///      serial re-choose on              candidate-load snapshots
-///      conflict)
+///     commit B (serial: choose on
+///      each pinned stream, then
+///      harness.commit, request order)
 ///
 /// Two batch buffers double-buffer the pipeline: while batch B's proposals
 /// are in flight, the main thread generates batch B+1; while B+1 proposes,
@@ -41,68 +39,22 @@
 /// arena, so workers share only immutable state (topology, placement,
 /// replica index).
 ///
-/// ## Speculative choose with validation (the commit-side fast path)
-///
-/// The serial commit loop is the engine's Amdahl wall: cheap-propose
-/// strategies (two-choice d=2) spend most of their per-request time in
-/// `choose` + metric bookkeeping, all on one thread. The speculative path
-/// moves `choose` itself off-thread without changing a single result:
-///
-/// - the batch's commit phase is cut into **speculation windows** of
-///   `spec_window` requests (default 32);
-/// - right after committing window w, the committer records, for every
-///   candidate of every request in window w+2, that candidate's load as
-///   seen by the strategy's effective view (live tracker, or the stale
-///   snapshot when `stale > 1`) — a per-candidate **snapshot** written into
-///   the batch buffer, published with one release store;
-/// - a single **chase task** on the pool claims windows in order and runs
-///   `choose` for each request against its snapshot (through a small
-///   candidate-local LoadView adapter, on a *copy* of the pinned Rng and a
-///   *copy* of the candidate window, so the authoritative post-propose
-///   state stays pristine);
-/// - when the committer reaches window w it waits for (or claims and runs
-///   inline — on narrow pools the committer steals windows rather than
-///   spin) the speculation, then **validates** each request: the
-///   speculation is accepted iff every candidate's current effective load
-///   equals its snapshot value. Because per-node loads are monotone
-///   counters (and stale snapshots only ever jump them upward at refresh),
-///   the value *is* a per-node version stamp: equality proves the loads
-///   `choose` read are exactly the loads the serial commit would have read,
-///   so the accepted assignment — and nothing else, since each request's
-///   pinned stream is never read again after its commit — is bit-identical
-///   by construction. On a mismatch the committer falls back to a serial
-///   re-choose on the untouched post-propose Rng and arena window: again
-///   exactly the serial result.
-///
-/// Accepted speculations skip `choose`'s virtual LoadView dispatch
-/// entirely: validation compares the slot's snapshot values against the raw
-/// contiguous load array (`LoadTracker::data` / `StaleLoadView::data`), the
-/// load increment goes through `LoadTracker::bump`, and the per-request
-/// metric bookkeeping is batched into one `CommitWindowDelta` applied per
-/// window — the batched load-delta commit path.
-///
-/// Because snapshot points (after window w-2), validation inputs, and the
-/// per-request streams are all schedule-determined — never timing-
-/// determined — the hit/conflict *counters* are deterministic too: the same
-/// (batch, spec_window) pair reproduces them exactly at every engine width,
-/// including width 1, which executes the identical schedule inline.
-/// Speculation applies only to strategies with `split_phase() &&
-/// choose_reads_candidates_only()`; others keep the plain serial commit.
-/// Within a speculated batch, requests whose candidate window exceeds a
-/// small cap (wide least-loaded radii) are chosen serially too
-/// (`spec_bypassed`): snapshotting and validating a 100+-candidate window
-/// costs more than the choose it would save, and wide windows conflict
-/// almost surely anyway. The cap is a schedule-determined property of the
-/// proposal, so bypasses are as deterministic as every other counter.
+/// ## One commit loop
+/// The commit is the paper's sequential process verbatim: for each request
+/// in admitted order, `choose` resumes the request's pinned stream against
+/// the live (or stale) loads left by every earlier request, and
+/// `RunHarness::commit` applies the result. Only `propose` runs off the
+/// main thread; `choose` and the load tracker are touched by the committer
+/// alone, so they need no synchronization. (An earlier speculative mode ran
+/// `choose` off-thread against load snapshots and validated the result; on
+/// 4 real cores it never beat this loop, so it was removed.)
 ///
 /// ## Determinism
 /// Results are bit-identical across every thread count >= 1 (of *this*
-/// engine), every batch size, every speculation window, and with
-/// speculation on or off, because no value ever depends on scheduling: the
-/// trace is generated serially on the legacy streams, each proposal is a
-/// pure function of its pinned stream, the commit order is the request
-/// order, and a speculation is only accepted when validation proves it
-/// equals the serial choice. They are *not* bit-identical to the serial
+/// engine) and every batch size, because no value ever depends on
+/// scheduling: the trace is generated serially on the legacy streams, each
+/// proposal is a pure function of its pinned stream, and the commit order
+/// is the request order. They are *not* bit-identical to the serial
 /// engine's single-stream contract (`config.threads == 1`) — locked either
 /// way by tests/test_sharded_equivalence.cpp and the golden masters in
 /// tests/test_determinism.cpp.
@@ -127,14 +79,6 @@ namespace proxcache {
 struct ShardedRunOptions {
   std::uint32_t threads = 2;
   std::size_t batch = 4096;  ///< requests per pipeline batch
-  /// Commit mode: speculative choose + validation (default) or the plain
-  /// serial commit loop. Results are bit-identical either way; the knob
-  /// exists for the differential suites and the bench's Amdahl story.
-  bool speculate = true;
-  /// Requests per speculation window. Smaller windows validate against
-  /// fresher snapshots (higher hit rate — staleness is ~1.5 windows of
-  /// commits); larger windows amortize the per-window synchronization.
-  std::size_t spec_window = 32;
 };
 
 /// Per-run engine counters and per-stage wall times (reported by
@@ -144,41 +88,25 @@ struct ShardStats {
   std::uint64_t requests = 0;   ///< admitted requests committed
   std::uint64_t proposed_off_thread = 0;  ///< requests proposed on the pool
 
-  // Speculation outcome counters (deterministic for a fixed
-  // (batch, spec_window) schedule — identical at every width).
-  std::uint64_t spec_windows = 0;    ///< speculation windows processed
-  std::uint64_t spec_attempted = 0;  ///< load-dependent requests speculated
-  std::uint64_t spec_hits = 0;       ///< speculations validated + accepted
-  std::uint64_t spec_conflicts = 0;  ///< validation failures (re-chosen)
-  std::uint64_t spec_decided = 0;    ///< proposals final before choose
-                                     ///  (e.g. nearest): nothing to validate
-  std::uint64_t spec_bypassed = 0;   ///< candidate window over the
-                                     ///  speculation cap: chosen serially
-
   // Per-stage wall time, seconds, accumulated over the run. fill/join/
-  // commit are main-thread stages; propose/speculate sum the task-side wall
-  // time across workers (so propose_seconds > commit wall time means the
-  // pool genuinely carried the load).
+  // commit are main-thread stages; propose sums the task-side wall time
+  // across workers (so propose_seconds > commit wall time means the pool
+  // genuinely carried the load).
   double fill_seconds = 0.0;
   double propose_seconds = 0.0;
   double join_seconds = 0.0;
-  double speculate_seconds = 0.0;
   double commit_seconds = 0.0;
+
+  // Always zero since speculative commit was removed; perfbench still reads.
+  double speculate_seconds = 0.0;
+  std::uint64_t spec_hits = 0;
+  std::uint64_t spec_conflicts = 0;
 
   /// Requests proposed per lane (chunk slot within a batch). Lanes are the
   /// unit of worker-side sharding; the vector length is the chunk count.
   std::vector<std::uint64_t> lane_requests;
   /// Propose wall time per lane, seconds — the lane-utilization profile.
   std::vector<double> lane_seconds;
-
-  /// Speculation hit rate over the requests that had anything to validate.
-  [[nodiscard]] double spec_hit_rate() const {
-    const std::uint64_t attempted = spec_hits + spec_conflicts;
-    return attempted == 0
-               ? 0.0
-               : static_cast<double>(spec_hits) /
-                     static_cast<double>(attempted);
-  }
 };
 
 /// The engine. Construct once per (context, options); `run` is const and
@@ -194,10 +122,6 @@ class ShardedRunner {
 
   [[nodiscard]] std::uint32_t threads() const { return options_.threads; }
   [[nodiscard]] std::size_t batch() const { return options_.batch; }
-  [[nodiscard]] bool speculate() const { return options_.speculate; }
-  [[nodiscard]] std::size_t spec_window() const {
-    return options_.spec_window;
-  }
 
  private:
   const SimulationContext* context_;

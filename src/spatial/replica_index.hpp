@@ -123,7 +123,10 @@ class ReplicaIndex {
 
   /// Invoke `fn(NodeId replica, Hop distance)` for every replica of `j`
   /// within distance `r` of `u` (including `u` itself if it caches `j`).
-  /// Each replica visited exactly once, unspecified order.
+  /// Each replica visited exactly once, unspecified order. On a sparse
+  /// graph, inside the local horizon, `fn` runs inside the distance
+  /// oracle's shell walk: it must not query the topology (that throws
+  /// std::logic_error rather than deadlock).
   template <typename Fn>
   void for_each_replica_within(NodeId u, FileId j, Hop r, Fn&& fn) const {
     if (r >= topology_->diameter()) {

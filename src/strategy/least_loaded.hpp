@@ -47,11 +47,6 @@ class LeastLoadedStrategy final : public SplitPhaseStrategy {
 
   [[nodiscard]] std::string name() const override;
 
-  /// The min-scan touches only the recorded (node, distance) window.
-  [[nodiscard]] bool choose_reads_candidates_only() const override {
-    return true;
-  }
-
  private:
   const ReplicaIndex* index_;
   LeastLoadedOptions options_;

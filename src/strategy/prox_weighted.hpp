@@ -70,11 +70,6 @@ class ProxWeightedStrategy final : public SplitPhaseStrategy {
 
   [[nodiscard]] std::string name() const override;
 
-  /// Every weighted pick and load read resolves inside the recorded window.
-  [[nodiscard]] bool choose_reads_candidates_only() const override {
-    return true;
-  }
-
  private:
   const ReplicaIndex* index_;
   ProxWeightedOptions options_;

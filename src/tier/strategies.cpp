@@ -14,8 +14,7 @@ namespace {
 /// Shared load-dependent tail: least-loaded candidate of the proposal
 /// window, ties to the fewest hops, then to the earliest candidate (the
 /// arenas are filled in tier order, so full ties resolve to the shallowest
-/// tier). Deterministic — no RNG — which is what licenses
-/// `choose_reads_candidates_only` on every strategy here.
+/// tier). Deterministic — no RNG.
 Assignment choose_least_loaded(const Proposal& proposal,
                                const CandidateArena& arena,
                                const LoadView& loads) {

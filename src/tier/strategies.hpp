@@ -5,8 +5,7 @@
 /// over a `TieredTopology` through per-tier slices of the global replica
 /// lists. All three are split-phase (core/strategy.hpp), so they run on
 /// the serial and sharded engines alike, and all three finish `choose`
-/// deterministically — no load-dependent RNG — which keeps the sharded
-/// engine's speculation valid (`choose_reads_candidates_only`).
+/// deterministically — no load-dependent RNG.
 ///
 ///  * `cross-two-choice` — DistCache's power-of-two-choices *across*
 ///    layers: hash the file to one replica per cache tier, serve the
@@ -83,9 +82,6 @@ class CrossTwoChoiceStrategy final : public SplitPhaseStrategy {
                                   const Proposal& proposal,
                                   CandidateArena& arena, const LoadView& loads,
                                   Rng& rng) const override;
-  [[nodiscard]] bool choose_reads_candidates_only() const override {
-    return true;
-  }
   [[nodiscard]] std::string name() const override {
     return "cross-two-choice";
   }
@@ -107,9 +103,6 @@ class FrontFirstStrategy final : public SplitPhaseStrategy {
                                   const Proposal& proposal,
                                   CandidateArena& arena, const LoadView& loads,
                                   Rng& rng) const override;
-  [[nodiscard]] bool choose_reads_candidates_only() const override {
-    return true;  // decided in propose; choose reads nothing at all
-  }
   [[nodiscard]] std::string name() const override { return "front-first"; }
 
  private:
@@ -137,9 +130,6 @@ class CrossProxWeightedStrategy final : public SplitPhaseStrategy {
                                   const Proposal& proposal,
                                   CandidateArena& arena, const LoadView& loads,
                                   Rng& rng) const override;
-  [[nodiscard]] bool choose_reads_candidates_only() const override {
-    return true;
-  }
   [[nodiscard]] std::string name() const override;
 
  private:

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -563,6 +564,45 @@ TEST(DistanceOracleBatch, ConcurrentBatchedAndPerPairQueriesMatchSerialAnswers) 
     EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
   }
   EXPECT_GT(shared.stats().rows_evicted, 0u) << "the threads must contend";
+}
+
+// A visit_shell visitor runs under the sparse oracle's cache mutex, so a
+// query back into the same oracle from inside it would self-deadlock. It
+// must fail loudly instead, through every locking entry point, and leave
+// the oracle usable afterwards.
+TEST(DistanceOracle, VisitorReentryThrowsInsteadOfDeadlocking) {
+  const auto rgg = make_rgg_topology(200, 0.12, 8);
+  DistanceOracle::Options options;
+  options.dense_threshold = 0;
+  options.distance_ball_budget = 32;
+  const DistanceOracle oracle(rgg->graph(), options);
+  std::vector<Hop> out(2);
+  const std::vector<NodeId> vs = {1, 2};
+  const std::vector<std::pair<std::string, std::function<void()>>> reentries =
+      {{"distance", [&] { (void)oracle.distance(0, 5); }},
+       {"distances", [&] { oracle.distances(0, vs, out); }},
+       {"certified_distance", [&] { (void)oracle.certified_distance(0, 5); }},
+       {"visit_shell", [&] { oracle.visit_shell(3, 1, [](NodeId) {}); }},
+       {"shell_size", [&] { (void)oracle.shell_size(3, 1); }},
+       {"ball_size", [&] { (void)oracle.ball_size(3, 1); }},
+       {"budget_ball_depth", [&] { (void)oracle.budget_ball_depth(3); }},
+       {"stats", [&] { (void)oracle.stats(); }},
+       {"cached_entries", [&] { (void)oracle.cached_entries(); }}};
+  for (const auto& [name, reenter] : reentries) {
+    EXPECT_THROW(oracle.visit_shell(0, 1, [&](NodeId) { reenter(); }),
+                 std::logic_error)
+        << name;
+  }
+  // The throw unwound the visitor mark and the lock: the oracle still
+  // answers, and a visitor may query a *different* oracle.
+  const DistanceOracle other(rgg->graph(), options);
+  std::size_t visited = 0;
+  oracle.visit_shell(0, 1, [&](NodeId v) {
+    EXPECT_EQ(other.distance(0, v), 1u);
+    ++visited;
+  });
+  EXPECT_GT(visited, 0u);
+  EXPECT_EQ(oracle.distance(0, 0), 0u);
 }
 
 }  // namespace

@@ -260,6 +260,19 @@ TEST(ReplicaIndex, SparseRegimeScansMatchThePerPairReference) {
   ASSERT_FALSE(topology->oracle().exact());
   expect_distances_match_topology(*topology, "sparse rgg");
 
+  // Landmark bounds can exceed the (exact) diameter here; the oracle clamps
+  // them, since the topology contract makes `diameter()` the maximum and
+  // nearest()'s scan band seeds its minimum with diameter() + 1.
+  ASSERT_TRUE(topology->oracle().diameter_is_exact());
+  const Hop diameter = topology->diameter();
+  Hop largest = 0;
+  for (NodeId u = 0; u < topology->size(); ++u) {
+    for (NodeId v = 0; v < topology->size(); ++v) {
+      largest = std::max(largest, topology->distance(u, v));
+    }
+  }
+  EXPECT_EQ(largest, diameter) << "no answer above the diameter";
+
   // Zipf over many files: a head file longer than one distance chunk and a
   // tail of files in nearest()'s scan band (|S_j|² <= n).
   constexpr std::size_t kFiles = 80;
@@ -308,14 +321,19 @@ TEST(ReplicaIndex, SparseRegimeScansMatchThePerPairReference) {
         std::sort(expected.begin(), expected.end());
         EXPECT_EQ(streamed, expected) << label << " r=" << r;
       }
-
-      if (!in_scan_band) continue;
-      // nearest()'s scan band reads the chunked stream; nearest_by_scan
-      // asks pair by pair. Same server, distance, ties and Rng state.
+    }
+    if (!in_scan_band) continue;
+    // nearest()'s scan band reads the chunked stream; nearest_by_scan
+    // asks pair by pair. Same server, distance, ties and Rng state, from
+    // every requester.
+    for (NodeId u = 0; u < n; ++u) {
+      const std::string label =
+          "u=" + std::to_string(u) + " j=" + std::to_string(j);
       Rng fast(u * 131 + j);
       Rng reference(u * 131 + j);
       const NearestResult got = index.nearest(u, j, fast);
       const NearestResult want = index.nearest_by_scan(u, j, reference);
+      ASSERT_NE(got.server, kInvalidNode) << label;
       EXPECT_EQ(got.server, want.server) << label;
       EXPECT_EQ(got.distance, want.distance) << label;
       EXPECT_EQ(got.ties, want.ties) << label;

@@ -6,7 +6,6 @@
 #include "core/simulation.hpp"
 #include "core/stale_view.hpp"
 #include "core/two_choice.hpp"
-#include "parallel/sharded_runner.hpp"
 
 namespace proxcache {
 namespace {
@@ -165,74 +164,6 @@ TEST(StaleSimulation, ModerateStalenessDegradesGracefully) {
         << "staleness must not *improve* balance (period " << period << ")";
     last = total;
   }
-}
-
-// Speculation must validate against the view choose() actually reads, not
-// the live tracker. With a staleness period >= the trace length the
-// snapshot never refreshes before the final assignment: every candidate
-// load choose() compares is the frozen all-zero snapshot, so no speculation
-// can ever be invalidated — spec_conflicts must be exactly 0 even though
-// the live loads diverge throughout the run. An engine that validated
-// against the live tracker would report near-constant conflicts here and
-// silently serialize every stale experiment.
-TEST(StaleSimulation, SpeculationValidatesAgainstTheStaleView) {
-  ExperimentConfig config;
-  config.num_nodes = 225;
-  config.num_files = 30;
-  config.cache_size = 5;
-  config.seed = 13;
-  config.strategy_spec = parse_strategy_spec("two-choice");
-  config.strategy_spec.params["stale"] =
-      static_cast<double>(config.effective_requests());
-  config.shard_batch = 64;
-  const SimulationContext context(config);
-  ShardStats stats;
-  const RunResult speculative =
-      ShardedRunner(context, {4, 64, /*speculate=*/true, 32}).run(0, &stats);
-  EXPECT_GT(stats.spec_attempted, 0u);
-  EXPECT_EQ(stats.spec_conflicts, 0u)
-      << "a frozen snapshot can never invalidate a speculation";
-  EXPECT_EQ(stats.spec_hits, stats.spec_attempted);
-  // And the result still matches the serial-commit schedule bit-for-bit.
-  const RunResult serial =
-      ShardedRunner(context, {4, 64, /*speculate=*/false}).run(0);
-  EXPECT_EQ(speculative.max_load, serial.max_load);
-  EXPECT_EQ(speculative.comm_cost, serial.comm_cost);
-  EXPECT_EQ(speculative.requests, serial.requests);
-  EXPECT_EQ(speculative.load_histogram.counts(),
-            serial.load_histogram.counts());
-}
-
-// The refreshing corner: a short staleness period means snapshots *do*
-// change mid-run, exactly at refresh boundaries — speculations straddling
-// a refresh are the only ones that can conflict, and the commit must
-// re-choose them against the refreshed view. The run must stay
-// bit-identical across commit modes while actually exercising that path.
-TEST(StaleSimulation, RefreshingStaleViewStaysBitIdenticalAcrossCommitModes) {
-  ExperimentConfig config;
-  config.num_nodes = 64;
-  config.num_files = 20;
-  config.cache_size = 4;
-  config.popularity.kind = PopularityKind::Zipf;
-  config.popularity.gamma = 1.5;
-  config.seed = 14;
-  config.strategy_spec = parse_strategy_spec("two-choice(stale=7)");
-  config.shard_batch = 53;  // coprime to the period: refreshes straddle
-  const SimulationContext context(config);
-  ShardStats stats;
-  const RunResult speculative =
-      ShardedRunner(context, {4, 53, /*speculate=*/true, 16}).run(0, &stats);
-  EXPECT_GT(stats.spec_attempted, 0u);
-  EXPECT_GT(stats.spec_conflicts, 0u)
-      << "period 7 refreshes inside nearly every window; some speculation "
-         "must be invalidated or the corner is untested";
-  const RunResult serial =
-      ShardedRunner(context, {4, 53, /*speculate=*/false}).run(0);
-  EXPECT_EQ(speculative.max_load, serial.max_load);
-  EXPECT_EQ(speculative.comm_cost, serial.comm_cost);
-  EXPECT_EQ(speculative.requests, serial.requests);
-  EXPECT_EQ(speculative.load_histogram.counts(),
-            serial.load_histogram.counts());
 }
 
 TEST(OnePlusBeta, BetaOneIsTheDefaultProcess) {

@@ -244,10 +244,6 @@ TEST(TieredEngine, ShardedWidthsAreBitIdenticalOnHierarchies) {
           reference, ShardedRunner(context, {threads, 64}).run(0),
           std::string(name) + " threads=" + std::to_string(threads));
     }
-    expect_bit_identical(
-        reference,
-        ShardedRunner(context, {4, 64, /*speculate=*/false}).run(0),
-        std::string(name) + " commit=serial");
   }
 }
 
