@@ -720,9 +720,18 @@ int main(int argc, char** argv) {
             << " MiB of it in distance-oracle rows\n"
             << "materialized:    " << materialized_bytes / (1024.0 * 1024.0)
             << " MiB a trace vector would have needed per run\n\n";
-  bench::print_verdict(
-      trace_growth + (1u << 20) < materialized_bytes,
-      "streaming keeps peak memory independent of trace length");
+  // The verdict allows 1 MiB of allocator noise, so it can only pass once a
+  // trace vector would outgrow that margin.
+  constexpr std::uint64_t kVerdictMarginBytes = std::uint64_t{1} << 20;
+  if (materialized_bytes <= kVerdictMarginBytes) {
+    std::cout << "[shape skip] run too short for the streaming verdict: its "
+                 "1 MiB margin covers the whole trace vector; run at least "
+              << kVerdictMarginBytes / sizeof(Request) + 1 << " requests\n";
+  } else {
+    bench::print_verdict(
+        trace_growth + kVerdictMarginBytes < materialized_bytes,
+        "streaming keeps peak memory independent of trace length");
+  }
 
   const std::string json_path = args.get_string("json");
   if (!json_path.empty()) {

@@ -43,12 +43,25 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NoReturn
 
 Key = tuple[str, int]
 
 
-def row_key(row: dict) -> Key:
-    return (row.get("strategy"), int(row.get("threads", 1)))
+def bad_input(message: str) -> NoReturn:
+    """Reports a malformed or unreadable bench file and exits with status 2,
+    apart from the status 1 of a regression."""
+    print(f"error: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
+def row_key(row: dict, path: str) -> Key:
+    threads = row.get("threads", 1)
+    try:
+        return (row.get("strategy"), int(threads))
+    except (TypeError, ValueError):
+        bad_input(f"row {row.get('strategy')!r} in {path!r} has non-integer "
+                  f"threads {threads!r}")
 
 
 def key_label(key: Key) -> str:
@@ -60,32 +73,34 @@ def load_rows(path: str) -> tuple[dict, dict[Key, dict]]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
-        sys.exit(f"error: cannot read bench file {path!r}: {error}")
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
+        bad_input(f"cannot read bench file {path!r}: {error}")
+    if not isinstance(doc, dict):
+        bad_input(f"bench file {path!r} is not a JSON object")
     rows = {}
     for index, row in enumerate(doc.get("results", [])):
         if row.get("strategy") is None:
-            sys.exit(f"error: result row {index} in {path!r} has no "
-                     f"'strategy' field")
-        key = row_key(row)
+            bad_input(f"result row {index} in {path!r} has no "
+                      f"'strategy' field")
+        key = row_key(row, path)
         if key in rows:
-            sys.exit(f"error: duplicate row {key} in {path!r}")
+            bad_input(f"duplicate row {key} in {path!r}")
         rows[key] = row
     if not rows:
-        sys.exit(f"error: no result rows in {path!r}")
+        bad_input(f"no result rows in {path!r}")
     return doc, rows
 
 
 def row_rps(row: dict, key: Key, path: str) -> float:
     value = row.get("requests_per_sec")
     if value is None:
-        sys.exit(f"error: row {key_label(key)} in {path!r} has no "
-                 f"'requests_per_sec' field")
+        bad_input(f"row {key_label(key)} in {path!r} has no "
+                  f"'requests_per_sec' field")
     try:
         return float(value)
     except (TypeError, ValueError):
-        sys.exit(f"error: row {key_label(key)} in {path!r} has non-numeric "
-                 f"requests_per_sec {value!r}")
+        bad_input(f"row {key_label(key)} in {path!r} has non-numeric "
+                  f"requests_per_sec {value!r}")
 
 
 DynKey = tuple[str, str, str]
@@ -109,10 +124,10 @@ def load_dynamic_rows(doc: dict, path: str) -> dict[DynKey, dict] | None:
                str(row.get("topology")))
         if None in (row.get("strategy"), row.get("policy"),
                     row.get("topology")):
-            sys.exit(f"error: dynamic row {index} in {path!r} lacks a "
-                     f"strategy/policy/topology key")
+            bad_input(f"dynamic row {index} in {path!r} lacks a "
+                      f"strategy/policy/topology key")
         if key in rows:
-            sys.exit(f"error: duplicate dynamic row {key} in {path!r}")
+            bad_input(f"duplicate dynamic row {key} in {path!r}")
         rows[key] = row
     return rows
 
@@ -138,8 +153,8 @@ def check_dynamic(baseline_doc: dict, fresh_doc: dict, baseline_path: str,
             base_eps = float(base_row.get("events_per_sec", 0.0))
             fresh_eps = float(fresh_row.get("events_per_sec", 0.0))
         except (TypeError, ValueError):
-            sys.exit(f"error: row {dynamic_key_label(key)} has a non-numeric "
-                     f"events_per_sec")
+            bad_input(f"row {dynamic_key_label(key)} has a non-numeric "
+                      f"events_per_sec")
         if base_eps <= 0:
             print(f"[skip] {dynamic_key_label(key)}: baseline recorded "
                   f"{base_eps:,.0f} events/s, no drop ratio to check")
@@ -172,11 +187,11 @@ def load_tiered_rows(doc: dict, path: str) -> dict[TierKey, dict] | None:
     rows: dict[TierKey, dict] = {}
     for index, row in enumerate(block.get("rows", [])):
         if None in (row.get("tier_strategy"), row.get("scenario")):
-            sys.exit(f"error: tiered row {index} in {path!r} lacks a "
-                     f"tier_strategy/scenario key")
+            bad_input(f"tiered row {index} in {path!r} lacks a "
+                      f"tier_strategy/scenario key")
         key = (str(row.get("tier_strategy")), str(row.get("scenario")))
         if key in rows:
-            sys.exit(f"error: duplicate tiered row {key} in {path!r}")
+            bad_input(f"duplicate tiered row {key} in {path!r}")
         rows[key] = row
     return rows
 
@@ -202,8 +217,8 @@ def check_tiered(baseline_doc: dict, fresh_doc: dict, baseline_path: str,
             base_rps = float(base_row.get("requests_per_sec", 0.0))
             fresh_rps = float(fresh_row.get("requests_per_sec", 0.0))
         except (TypeError, ValueError):
-            sys.exit(f"error: row {tiered_key_label(key)} has a non-numeric "
-                     f"requests_per_sec")
+            bad_input(f"row {tiered_key_label(key)} has a non-numeric "
+                      f"requests_per_sec")
         if base_rps <= 0:
             print(f"[skip] {tiered_key_label(key)}: baseline recorded "
                   f"{base_rps:,.0f} req/s, no drop ratio to check")
@@ -233,8 +248,8 @@ def check_tiered(baseline_doc: dict, fresh_doc: dict, baseline_path: str,
                     cross_value = float(cross.get(metric, 0.0))
                     rival_value = float(rival.get(metric, 0.0))
                 except (TypeError, ValueError):
-                    sys.exit(f"error: tiered rows under {scenario!r} have a "
-                             f"non-numeric {metric}")
+                    bad_input(f"tiered rows under {scenario!r} have a "
+                              f"non-numeric {metric}")
                 marker = "FAIL" if cross_value > rival_value else "ok"
                 print(f"[{marker}] tiered {scenario}: cross-two-choice "
                       f"{metric} {cross_value:,.1f} vs {rival_name} "
@@ -298,8 +313,12 @@ def main() -> int:
                             f"(> {args.tolerance:.0%})")
 
     if args.min_speedup is not None:
-        width = int(fresh_doc.get("threads", 1))
-        host_cores = int(fresh_doc.get("host_cores", 0))
+        try:
+            width = int(fresh_doc.get("threads", 1))
+            host_cores = int(fresh_doc.get("host_cores", 0))
+        except (TypeError, ValueError):
+            bad_input(f"{args.fresh!r} has a non-integer threads or "
+                      f"host_cores field")
         need_cores = args.require_cores if args.require_cores is not None else width
         if width < 2:
             print("[skip] --min-speedup: fresh file has no sharded rows "
@@ -312,7 +331,11 @@ def main() -> int:
             for key, row in sorted(fresh.items()):
                 if key[1] < 2:
                     continue
-                speedup = float(row.get("speedup_vs_serial", 0.0))
+                try:
+                    speedup = float(row.get("speedup_vs_serial", 0.0))
+                except (TypeError, ValueError):
+                    bad_input(f"row {key_label(key)} in {args.fresh!r} has a "
+                              f"non-numeric speedup_vs_serial")
                 marker = "FAIL" if speedup < args.min_speedup else "ok"
                 print(f"[{marker}] {key_label(key)}: "
                       f"speedup {speedup:.2f}x (floor {args.min_speedup:.2f}x)")

@@ -6,8 +6,9 @@ exit status and the printed notices — exactly what CI observes. The cases
 that matter most are the `dynamic` and `tiered` blocks' tolerate-absent
 contract (skip-with-notice when either file lacks the block, never a
 KeyError), the per-row failures when both files do carry it, and the
-tiered win-invariant on the fresh rows. Only the Python standard library
-is used.
+tiered win-invariant on the fresh rows, and the exit status that keeps a
+malformed or unreadable bench file (2) apart from a regression (1). Only
+the Python standard library is used.
 """
 
 from __future__ import annotations
@@ -100,8 +101,29 @@ class CheckBenchRegressionTest(unittest.TestCase):
         duplicate = bench_doc([result_row("two-choice", 1000.0),
                                result_row("two-choice", 1000.0)])
         proc = self.run_gate(duplicate, fresh)
-        self.assertNotEqual(proc.returncode, 0)
+        self.assertEqual(proc.returncode, 2, "bad input, not a regression")
         self.assertIn("duplicate row ('two-choice', 1)", proc.stderr)
+
+    def test_unreadable_file_is_bad_input(self) -> None:
+        doc = bench_doc([result_row("nearest", 1000.0)])
+        missing = os.path.join(self._tmp.name, "absent.json")
+        garbled = os.path.join(self._tmp.name, "garbled.json")
+        with open(garbled, "w", encoding="utf-8") as handle:
+            handle.write('{"results": [')
+        for path in (missing, garbled):
+            proc = subprocess.run(
+                [sys.executable, SCRIPT, "--baseline",
+                 self.write("baseline.json", doc), "--fresh", path],
+                capture_output=True, text=True, check=False)
+            self.assertEqual(proc.returncode, 2, proc.stderr)
+            self.assertIn("error: cannot read bench file", proc.stderr)
+
+    def test_missing_field_is_bad_input(self) -> None:
+        baseline = bench_doc([result_row("nearest", 1000.0)])
+        fresh = bench_doc([{"strategy": "nearest", "threads": 1}])
+        proc = self.run_gate(baseline, fresh)
+        self.assertEqual(proc.returncode, 2, proc.stderr)
+        self.assertIn("has no 'requests_per_sec' field", proc.stderr)
 
     def test_baseline_without_dynamic_block_skips_with_notice(self) -> None:
         # The tolerate-absent contract: a baseline predating the event

@@ -1,6 +1,7 @@
 #include "graph/distance_oracle.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -100,6 +101,113 @@ std::pair<std::size_t, Hop> bfs_full(const CompactGraph& graph, NodeId source,
   return {frontier.size(), depth > 0 ? depth - 1 : 0};
 }
 
+/// Eccentricities of a fixed source list, computed by multi-source
+/// bit-parallel BFS (MS-BFS; Then et al., "The More the Merrier", PVLDB
+/// 2014) over up to 64 consecutive sources per sweep. Each vertex keeps
+/// one bit per source of the sweep in each of its `seen`, `frontier` and
+/// `next` words, so one pass over the active vertices advances the BFS of
+/// every source by a level. A source's eccentricity is the last depth at
+/// which its bit reached a new vertex: the same value one `bfs_full` per
+/// source returns. The graph must be connected.
+class EccentricitySweeps {
+ public:
+  EccentricitySweeps(const CompactGraph& graph, std::vector<NodeId> sources)
+      : graph_(graph),
+        sources_(std::move(sources)),
+        ecc_(sources_.size(), kNotSwept) {}
+
+  /// Eccentricity of source `i`. The first request for a source not yet
+  /// swept runs the sweep over sources [i, i + 64). Throws
+  /// std::invalid_argument, naming the source, where `bfs_full` would.
+  Hop of(std::size_t i) {
+    if (ecc_[i] == kNotSwept) sweep(i);
+    if (ecc_[i] == kOverflow) throw_depth_overflow(sources_[i]);
+    return ecc_[i];
+  }
+
+ private:
+  static constexpr std::size_t kWidth = 64;
+  static constexpr Hop kNotSwept = std::numeric_limits<Hop>::max();
+  static constexpr Hop kOverflow = kNotSwept - 1;
+
+  void sweep(std::size_t first) {
+    const std::size_t n = graph_.num_vertices();
+    if (words_.empty()) {
+      words_.resize(n);
+      frontier_.resize(n);
+      reached_.resize(n + 1);
+    } else {
+      for (Words& w : words_) w.seen = 0;
+    }
+    const std::size_t count = std::min(kWidth, sources_.size() - first);
+    active_.clear();
+    for (std::size_t b = 0; b < count; ++b) {
+      const NodeId s = sources_[first + b];
+      words_[s].seen = frontier_[s] = std::uint64_t{1} << b;
+      active_.push_back(s);
+      ecc_[first + b] = 0;
+    }
+    // Bits whose BFS still has a frontier. `bfs_full` refuses to expand a
+    // frontier at depth kMaxStorableHops; so does the sweep, per source.
+    std::uint64_t live = count == kWidth ? ~std::uint64_t{0}
+                                         : (std::uint64_t{1} << count) - 1;
+    Hop depth = 0;
+    while (!active_.empty()) {
+      if (depth >= kMaxStorableHops) {
+        for (; live != 0; live &= live - 1) {
+          ecc_[first + std::countr_zero(live)] = kOverflow;
+        }
+        for (const NodeId v : active_) frontier_[v] = 0;
+        return;
+      }
+      ++depth;
+      // Branch-free expansion: every edge writes its target into the next
+      // slot of `reached_`, but only a target's first fresh bits advance
+      // the count (hence the spare slot at the end).
+      std::size_t reached = 0;
+      for (const NodeId v : active_) {
+        const std::uint64_t bits = frontier_[v];
+        for (const std::uint32_t w : graph_.neighbors(v)) {
+          Words& target = words_[w];
+          const std::uint64_t fresh = bits & ~target.seen;
+          reached_[reached] = w;
+          reached +=
+              static_cast<std::size_t>((target.next == 0) & (fresh != 0));
+          target.next |= fresh;
+        }
+      }
+      for (const NodeId v : active_) frontier_[v] = 0;
+      active_.assign(reached_.begin(), reached_.begin() + reached);
+      live = 0;
+      for (const NodeId w : active_) {
+        Words& target = words_[w];
+        target.seen |= target.next;
+        frontier_[w] = target.next;
+        live |= target.next;
+        target.next = 0;
+      }
+      for (std::uint64_t bits = live; bits != 0; bits &= bits - 1) {
+        ecc_[first + std::countr_zero(bits)] = depth;
+      }
+    }
+  }
+
+  /// A vertex's `seen` and `next` words, side by side so that relaxing an
+  /// edge touches one cache line.
+  struct Words {
+    std::uint64_t seen = 0;
+    std::uint64_t next = 0;
+  };
+
+  const CompactGraph& graph_;
+  std::vector<NodeId> sources_;
+  std::vector<Hop> ecc_;
+  std::vector<Words> words_;
+  std::vector<std::uint64_t> frontier_;
+  std::vector<NodeId> active_;   ///< vertices with a nonzero frontier word
+  std::vector<NodeId> reached_;  ///< n + 1 slots, see the expansion loop
+};
+
 }  // namespace
 
 DistanceOracle::DistanceOracle(const CompactGraph& graph, Options options)
@@ -184,8 +292,19 @@ void DistanceOracle::build_sparse(const CompactGraph& graph) {
   std::vector<std::vector<NodeId>> levels(center_ecc + 1);
   for (NodeId v = 0; v < n_; ++v) levels[center_row[v]].push_back(v);
 
-  std::size_t budget = options_.diameter_bfs_budget;
-  std::vector<std::uint16_t> scratch(n_, kUnreached);
+  // Every source the budget lets iFUB reach, in fold order: the deepest
+  // level first, id order within a level. Their eccentricities come from
+  // bit-parallel sweeps of up to 64 sources each, run only when the fold
+  // reaches a source not swept yet; values past a stop go unused.
+  const std::size_t budget = options_.diameter_bfs_budget;
+  std::vector<NodeId> sources;
+  for (Hop d = center_ecc; d > 0 && sources.size() < budget; --d) {
+    const std::size_t take =
+        std::min(levels[d].size(), budget - sources.size());
+    sources.insert(sources.end(), levels[d].begin(), levels[d].begin() + take);
+  }
+  EccentricitySweeps eccentricities(graph, std::move(sources));
+  std::size_t folded = 0;
   Hop level = center_ecc;
   bool exact = false;
   while (true) {
@@ -197,19 +316,11 @@ void DistanceOracle::build_sparse(const CompactGraph& graph) {
       exact = true;
       break;
     }
-    bool out_of_budget = false;
-    for (const NodeId v : levels[level]) {
-      if (budget == 0) {
-        out_of_budget = true;
-        break;
-      }
-      --budget;
-      std::fill(scratch.begin(), scratch.end(), kUnreached);
-      const auto [reached, ecc] = bfs_full(graph, v, scratch.data(), frontier);
-      (void)reached;
-      lower = std::max(lower, ecc);
+    const std::size_t take = std::min(levels[level].size(), budget - folded);
+    for (std::size_t i = 0; i < take; ++i) {
+      lower = std::max(lower, eccentricities.of(folded++));
     }
-    if (out_of_budget) break;
+    if (take < levels[level].size()) break;  // out of budget
     --level;
   }
   if (exact) {

@@ -37,9 +37,9 @@
 ///    not materialized). Outside B*(u) the landmark upper bound is
 ///    returned, even when a deeper cached row happens to know the truth.
 ///  * `diameter()`: exact whenever the iFUB refinement converges within its
-///    BFS budget (flagged by `diameter_is_exact()`); otherwise a safe upper
-///    bound (`<= 2x` the true diameter). Never an underestimate — loops of
-///    the form `for d <= diameter()` stay complete.
+///    eccentricity budget (flagged by `diameter_is_exact()`); otherwise a
+///    safe upper bound (`<= 2x` the true diameter). Never an underestimate
+///    — loops of the form `for d <= diameter()` stay complete.
 ///
 /// Bulk queries: `distances(u, vs, out)` answers a whole target list from
 /// one source exactly as the per-pair `distance(u, v)` loop would — same
@@ -92,9 +92,11 @@ class DistanceOracle {
     /// Total node entries across all cached rows; least-recently-used rows
     /// are evicted past it (each entry is ~10 bytes).
     std::size_t cache_entry_budget = std::size_t{1} << 20;
-    /// Extra eccentricity computations (full BFS each) the exact-diameter
-    /// refinement (iFUB) may spend after the initial double sweep before
-    /// settling for the certified upper bound.
+    /// Eccentricities the exact-diameter refinement (iFUB) may compute
+    /// after the landmark sweeps, which give its lower bound and its start
+    /// (the most central landmark), before settling for the certified
+    /// upper bound. They are computed 64 per bit-parallel BFS sweep; the
+    /// result is that of one full BFS per eccentricity.
     std::size_t diameter_bfs_budget = 192;
   };
 

@@ -41,8 +41,10 @@ class GraphTopology final : public Topology {
   /// becomes `describe()`, canonically the spec string that built the
   /// graph. Below `options.dense_threshold` nodes this costs O(V·(V+E))
   /// construction and O(V²) memory (the exact dense regime); above it,
-  /// construction is `num_landmarks` BFS passes and memory is O(k·V) plus
-  /// the bounded row cache.
+  /// construction is `num_landmarks` BFS passes plus up to
+  /// `diameter_bfs_budget` eccentricities, computed 64 per bit-parallel
+  /// sweep (⌈budget/64⌉ sweeps), and memory is O(k·V) plus the bounded
+  /// row cache.
   GraphTopology(CompactGraph graph, std::string description,
                 Options options = Options{});
 

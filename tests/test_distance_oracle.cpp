@@ -7,7 +7,8 @@
 // assertion. The landmark approximation is checked against exact BFS on
 // every registered topology at small n. The bulk `distances` query must
 // leave answers, counters and cache occupancy exactly where the per-pair
-// loop does, also under concurrent callers.
+// loop does, also under concurrent callers. The bit-parallel diameter
+// refinement must give what one BFS per iFUB source gives, at every budget.
 #include "graph/distance_oracle.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -603,6 +605,299 @@ TEST(DistanceOracle, VisitorReentryThrowsInsteadOfDeadlocking) {
   });
   EXPECT_GT(visited, 0u);
   EXPECT_EQ(oracle.distance(0, 0), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Diameter refinement: the sparse oracle computes its iFUB eccentricities
+// 64 sources per bit-parallel sweep. `diameter()` and `diameter_is_exact()`
+// must equal what the plain loop gives, one BFS per source, for every
+// graph, landmark count and budget, including budgets and stops that cut
+// a sweep short.
+
+std::vector<Hop> scalar_depths(const CompactGraph& graph, NodeId source) {
+  std::vector<Hop> depth(graph.num_vertices(), kUnboundedRadius);
+  std::vector<NodeId> queue = {source};
+  depth[source] = 0;
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    for (const std::uint32_t w : graph.neighbors(queue[i])) {
+      if (depth[w] == kUnboundedRadius) {
+        depth[w] = depth[queue[i]] + 1;
+        queue.push_back(w);
+      }
+    }
+  }
+  return depth;
+}
+
+/// Eccentricity of `source` by one scalar BFS.
+Hop scalar_eccentricity(const CompactGraph& graph, NodeId source) {
+  const std::vector<Hop> depth = scalar_depths(graph, source);
+  return *std::max_element(depth.begin(), depth.end());
+}
+
+/// The diameter refinement written out as a plain loop: farthest-point
+/// landmarks from vertex 0, then iFUB from the first most central one,
+/// levels top-down, id order within a level, one BFS per source.
+class ReferenceIfub {
+ public:
+  ReferenceIfub(const CompactGraph& graph, std::size_t num_landmarks)
+      : graph_(graph), ecc_(graph.num_vertices(), kUnboundedRadius) {
+    const std::size_t n = graph.num_vertices();
+    const std::size_t k = std::max<std::size_t>(1, std::min(num_landmarks, n));
+    std::vector<Hop> nearest(n, kUnboundedRadius);
+    std::vector<Hop> center_row;
+    Hop center_ecc = kUnboundedRadius;
+    for (std::size_t i = 0; i < k; ++i) {
+      NodeId source = 0;
+      if (i > 0) {
+        const auto far = std::max_element(nearest.begin(), nearest.end());
+        if (*far == 0) break;
+        source = static_cast<NodeId>(far - nearest.begin());
+      }
+      std::vector<Hop> row = scalar_depths(graph, source);
+      const Hop ecc = *std::max_element(row.begin(), row.end());
+      landmark_lower_ = std::max(landmark_lower_, ecc);
+      if (ecc < center_ecc) {
+        center_ecc = ecc;
+        center_row = row;
+      }
+      for (NodeId v = 0; v < n; ++v) nearest[v] = std::min(nearest[v], row[v]);
+    }
+    levels_.resize(center_ecc + 1);
+    for (NodeId v = 0; v < n; ++v) levels_[center_row[v]].push_back(v);
+  }
+
+  struct Result {
+    Hop diameter = 0;
+    bool exact = false;
+    std::size_t folded = 0;     ///< eccentricities folded into the bound
+    std::size_t reachable = 0;  ///< sources the budget lets it reach
+    std::size_t widest = 0;     ///< most eccentricities folded from a level
+  };
+
+  Result run(std::size_t budget) {
+    Result result;
+    for (Hop d = 1; d < levels_.size(); ++d) {
+      result.reachable += levels_[d].size();
+    }
+    result.reachable = std::min(result.reachable, budget);
+    Hop lower = landmark_lower_;
+    Hop level = static_cast<Hop>(levels_.size() - 1);
+    while (true) {
+      if (2 * level <= lower || level == 0) {
+        result.diameter = lower;
+        result.exact = true;
+        return result;
+      }
+      const std::size_t level_start = result.folded;
+      for (const NodeId v : levels_[level]) {
+        if (result.folded == budget) {
+          result.diameter = std::max(lower, 2 * level);
+          result.exact = result.diameter == lower;
+          return result;
+        }
+        if (ecc_[v] == kUnboundedRadius) {
+          ecc_[v] = scalar_eccentricity(graph_, v);
+        }
+        lower = std::max(lower, ecc_[v]);
+        ++result.folded;
+        result.widest = std::max(result.widest, result.folded - level_start);
+      }
+      --level;
+    }
+  }
+
+ private:
+  const CompactGraph& graph_;
+  std::vector<Hop> ecc_;  ///< memoized per vertex across budgets
+  Hop landmark_lower_ = 0;
+  std::vector<std::vector<NodeId>> levels_;
+};
+
+CompactGraph grid_graph(std::uint32_t width, std::uint32_t height) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  for (std::uint32_t y = 0; y < height; ++y) {
+    for (std::uint32_t x = 0; x < width; ++x) {
+      const std::uint32_t v = y * width + x;
+      if (x + 1 < width) edges.emplace_back(v, v + 1);
+      if (y + 1 < height) edges.emplace_back(v, v + width);
+    }
+  }
+  return CompactGraph::from_edges(width * height, std::move(edges));
+}
+
+/// A path of `length` vertices with a pendant vertex every `spacing` steps:
+/// path-like, but with eccentricities that differ within a level.
+CompactGraph comb_graph(std::uint32_t length, std::uint32_t spacing) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  std::uint32_t next = length;
+  for (std::uint32_t i = 0; i + 1 < length; ++i) edges.emplace_back(i, i + 1);
+  for (std::uint32_t i = 0; i < length; i += spacing) {
+    edges.emplace_back(i, next++);
+  }
+  return CompactGraph::from_edges(next, std::move(edges));
+}
+
+/// Hub vertex 0 with `legs` paths hanging off it, leg `i` of length
+/// `1 + i % max_leg`, and a few chords between neighbouring legs' tips.
+CompactGraph spider_graph(std::uint32_t legs, std::uint32_t max_leg) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  std::uint32_t next = 1;
+  std::vector<std::uint32_t> tips;
+  for (std::uint32_t leg = 0; leg < legs; ++leg) {
+    std::uint32_t previous = 0;
+    for (std::uint32_t step = 0; step < 1 + leg % max_leg; ++step) {
+      edges.emplace_back(previous, next);
+      previous = next++;
+    }
+    tips.push_back(previous);
+  }
+  for (std::uint32_t leg = 0; leg + 1 < legs; leg += 7) {
+    edges.emplace_back(tips[leg], tips[leg + 1]);
+  }
+  return CompactGraph::from_edges(next, std::move(edges));
+}
+
+CompactGraph star_graph(std::uint32_t leaves) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  for (std::uint32_t v = 1; v <= leaves; ++v) edges.emplace_back(0, v);
+  return CompactGraph::from_edges(leaves + 1, std::move(edges));
+}
+
+TEST(DistanceOracleDiameter, MatchesThePerSourceLoopOnEveryGraphAndBudget) {
+  std::vector<std::pair<std::string, CompactGraph>> graphs;
+  for (const auto& [n, radius, seed] :
+       std::vector<std::tuple<std::size_t, double, std::uint64_t>>{
+           {1500, 0.05, 1}, {2000, 0.04, 2}, {1200, 0.07, 7}, {900, 0.05, 4}}) {
+    graphs.emplace_back(
+        "rgg(" + std::to_string(n) + ", " + std::to_string(radius) + ", " +
+            std::to_string(seed) + ")",
+        graph_from(*make_rgg_topology(n, radius, seed)));
+  }
+  graphs.emplace_back("hyperbolic(700)",
+                      graph_from(*make_hyperbolic_topology(700, 6.0, 0.8, 3)));
+  graphs.emplace_back("grid(41x29)", grid_graph(41, 29));
+  graphs.emplace_back("grid(120x3)", grid_graph(120, 3));
+  graphs.emplace_back("comb(400)", comb_graph(400, 3));
+  graphs.emplace_back("spider(300)", spider_graph(300, 5));
+  graphs.emplace_back("star(200)", star_graph(200));
+
+  std::size_t exact_stops_inside_a_sweep = 0;
+  std::size_t budget_stops_inside_a_sweep = 0;
+  std::size_t inexact = 0;
+  std::size_t widest = 0;
+  for (const auto& [name, graph] : graphs) {
+    const std::size_t n = graph.num_vertices();
+    for (const std::size_t landmarks : {16u, 2u}) {
+      ReferenceIfub reference(graph, landmarks);
+      for (const std::size_t budget :
+           {std::size_t{0}, std::size_t{1}, std::size_t{63}, std::size_t{64},
+            std::size_t{65}, std::size_t{128}, std::size_t{129},
+            std::size_t{192}, n}) {
+        const ReferenceIfub::Result expected = reference.run(budget);
+        DistanceOracle::Options options;
+        options.dense_threshold = n / 2;
+        options.num_landmarks = landmarks;
+        options.diameter_bfs_budget = budget;
+        const DistanceOracle oracle(graph, options);
+        ASSERT_FALSE(oracle.exact());
+        const std::string label = name + " landmarks=" +
+                                  std::to_string(landmarks) +
+                                  " budget=" + std::to_string(budget);
+        EXPECT_EQ(oracle.diameter(), expected.diameter) << label;
+        EXPECT_EQ(oracle.diameter_is_exact(), expected.exact) << label;
+
+        // The sweep holding the last folded source also computed sources
+        // past it: the fold must have dropped them.
+        const bool stopped_inside_a_sweep =
+            expected.folded % 64 != 0 && expected.folded < expected.reachable;
+        const bool budget_cut_a_sweep = !expected.exact &&
+                                        expected.folded == budget &&
+                                        budget % 64 != 0;
+        exact_stops_inside_a_sweep +=
+            expected.exact && stopped_inside_a_sweep ? 1 : 0;
+        budget_stops_inside_a_sweep += budget_cut_a_sweep ? 1 : 0;
+        inexact += expected.exact ? 0 : 1;
+        widest = std::max(widest, expected.widest);
+      }
+    }
+  }
+  EXPECT_GT(exact_stops_inside_a_sweep, 0u)
+      << "some exact stop must land inside a sweep";
+  EXPECT_GT(budget_stops_inside_a_sweep, 0u)
+      << "some budget stop must cut a sweep short";
+  EXPECT_GT(inexact, 0u) << "some budget must leave the bound inexact";
+  EXPECT_GT(widest, 64u) << "some level must fold sources from two sweeps";
+}
+
+TEST(DistanceOracleDiameter, BudgetStopCountsOnlyTheSourcesItFolded) {
+  // Hub 0 with two legs of six hops (tips 7 and 13, 12 hops apart) and a
+  // vertex 1 joined to both legs' midpoints by three-hop paths, so level 6
+  // of the hub is {1, 7, 13} and only vertex 1 has eccentricity 6. One
+  // landmark (vertex 0, eccentricity 6) leaves the bound at [6, 12]; a
+  // budget of 1 folds vertex 1 alone, and the tips' eccentricity 12 must
+  // not count even though a sweep could compute it alongside.
+  const CompactGraph graph = CompactGraph::from_edges(
+      18, {{0, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7},
+           {0, 8}, {8, 9}, {9, 10}, {10, 11}, {11, 12}, {12, 13},
+           {4, 14}, {14, 15}, {15, 1}, {10, 16}, {16, 17}, {17, 1}});
+  ReferenceIfub reference(graph, 1);
+  const std::vector<std::pair<Hop, bool>> expected = {
+      {12, false}, {12, false}, {12, true}, {12, true}, {12, true}};
+  for (std::size_t budget = 0; budget < expected.size(); ++budget) {
+    DistanceOracle::Options options;
+    options.dense_threshold = 0;
+    options.num_landmarks = 1;
+    options.diameter_bfs_budget = budget;
+    const DistanceOracle oracle(graph, options);
+    const ReferenceIfub::Result loop = reference.run(budget);
+    EXPECT_EQ(oracle.diameter(), expected[budget].first) << budget;
+    EXPECT_EQ(oracle.diameter_is_exact(), expected[budget].second) << budget;
+    EXPECT_EQ(loop.diameter, expected[budget].first) << budget;
+    EXPECT_EQ(loop.exact, expected[budget].second) << budget;
+  }
+}
+
+TEST(DistanceOracleDiameter, BenchmarkRggKeepsItsDiameterBound) {
+  // rgg-hotspot's graph: every radius test there reads this bound.
+  const auto rgg = make_rgg_topology(16384, 0.02, 1);
+  EXPECT_EQ(rgg->diameter(), 94u);
+  EXPECT_FALSE(rgg->oracle().diameter_is_exact());
+  DistanceOracle::Options landmarks_only;
+  landmarks_only.diameter_bfs_budget = 0;
+  const DistanceOracle oracle(rgg->graph(), landmarks_only);
+  EXPECT_EQ(oracle.diameter(), 102u);
+  EXPECT_FALSE(oracle.diameter_is_exact());
+}
+
+TEST(DistanceOracleDiameter, DeepIfubSourcesThrowNamingTheSource) {
+  // A path of 80001 vertices with vertex 0 in the middle: the one landmark
+  // (vertex 0) has eccentricity 40000, which uint16 storage holds, but the
+  // path's ends lie 80000 hops apart. The first end in id order is the
+  // first iFUB source, and its BFS is the one that must throw.
+  const std::uint32_t arm = 40'000;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  for (std::uint32_t i = 0; i < 2 * arm; ++i) {
+    edges.emplace_back(i == arm ? 0 : i, i + 1);
+  }
+  const CompactGraph path =
+      CompactGraph::from_edges(2 * arm + 1, std::move(edges));
+  DistanceOracle::Options options;
+  options.num_landmarks = 1;
+  options.diameter_bfs_budget = 1;
+  try {
+    const DistanceOracle oracle(path, options);
+    FAIL() << "an 80000-hop eccentricity exceeds uint16 distances";
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("vertex " + std::to_string(arm)), std::string::npos)
+        << message;
+  }
+  // Without iFUB passes nothing that deep is searched: the bound stands.
+  options.diameter_bfs_budget = 0;
+  const DistanceOracle bound_only(path, options);
+  EXPECT_EQ(bound_only.diameter(), 2 * arm);
+  EXPECT_FALSE(bound_only.diameter_is_exact());
 }
 
 }  // namespace
